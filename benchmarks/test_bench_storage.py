@@ -83,7 +83,12 @@ def _save(section: str, payload) -> None:
     entry.update(payload)
     entry["config"] = config
     section_data[signature] = entry
-    RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    # allow_nan=False keeps the file spec-valid JSON, like the other BENCH
+    # writers: a non-finite rate fails the bench instead of writing a file
+    # most parsers reject.
+    RESULTS_PATH.write_text(
+        json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
 
 
 def _timed(operation) -> tuple[float, int]:

@@ -28,32 +28,31 @@ __all__ = ["FeatureSet", "WindowPredictor", "select_spaced_top_k"]
 
 
 def select_spaced_top_k(
-    records: list[tuple], k: int, min_spacing: float
-) -> list[tuple]:
+    scores: np.ndarray, peaks: np.ndarray, starts: np.ndarray, k: int, min_spacing: float
+) -> list[int]:
     """Greedy top-k under the δ spacing constraint, shared batch/stream.
 
-    ``records`` are ``(item, score, peak, start)`` tuples.  Candidates are
-    considered in decreasing score order (ties broken by start); one is
-    skipped when its peak lies within ``min_spacing`` of an already selected
-    peak (the paper's ``Top`` function "makes sure that H does not contain
-    too close highlights").  Returns the selected records sorted by start.
+    ``scores``, ``peaks`` and ``starts`` describe one candidate window per
+    position.  Candidates are considered in decreasing score order (ties
+    broken by start, then by position); one is skipped when its peak lies
+    within ``min_spacing`` of an already selected peak (the paper's ``Top``
+    function "makes sure that H does not contain too close highlights"), and
+    the scan stops after ``k`` picks.  Returns the selected positions sorted
+    by start.
 
     Both :meth:`WindowPredictor.top_k_windows` and the streaming engine's
-    summary scorer select through this one function, so the batch/stream
-    parity contract cannot drift here.
+    scorer select through this one function, so the batch/stream parity
+    contract cannot drift here.
     """
-    ranked = sorted(records, key=lambda record: (-(record[1] or 0.0), record[3]))
-    selected: list[tuple] = []
-    for record in ranked:
+    selected: list[int] = []
+    for index in np.lexsort((starts, -scores)):
         if len(selected) >= k:
             break
-        too_close = any(
-            abs(record[2] - chosen[2]) <= min_spacing for chosen in selected
-        )
-        if too_close:
+        peak = peaks[index]
+        if any(abs(peak - peaks[chosen]) <= min_spacing for chosen in selected):
             continue
-        selected.append(record)
-    return sorted(selected, key=lambda record: record[3])
+        selected.append(int(index))
+    return sorted(selected, key=lambda index: starts[index])
 
 
 class FeatureSet(enum.Enum):
@@ -153,12 +152,14 @@ class WindowPredictor:
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k!r}")
         windows = self.score_windows(chat_log)
-        records = [
-            (window, window.score or 0.0, window.peak_timestamp(), window.start)
-            for window in windows
-        ]
-        selected = select_spaced_top_k(records, k, self.config.min_dot_spacing)
-        return [record[0] for record in selected]
+        selected = select_spaced_top_k(
+            np.array([window.score for window in windows], dtype=float),
+            np.array([window.peak_timestamp() for window in windows], dtype=float),
+            np.array([window.start for window in windows], dtype=float),
+            k,
+            self.config.min_dot_spacing,
+        )
+        return [windows[index] for index in selected]
 
     # -------------------------------------------------------------- helpers
     def _windows_for(self, chat_log: VideoChatLog) -> list[SlidingWindow]:

@@ -307,7 +307,7 @@ class StreamingWindowBuilder:
         return self._next_seal * self.stride
 
 
-def resolve_overlapping_windows(candidates: list) -> list:
+def resolve_overlapping_windows(candidates: list, accepted: Sequence = ()) -> list:
     """Greedy overlap resolution: densest window first, reject overlaps.
 
     Reproduces the paper's rule — "when two sliding windows have an overlap,
@@ -316,16 +316,22 @@ def resolve_overlapping_windows(candidates: list) -> list:
     the streaming engine's window summaries), so the batch and live paths
     share one resolution.  Returns the accepted windows sorted by start.
 
+    ``accepted`` seeds the result with windows that are already fixed: they
+    must be mutually disjoint, sorted by start, and each must rank above
+    (denser, or as dense and earlier) every candidate it overlaps.  Under
+    that precondition seeding equals resolving the union, which is what lets
+    the streaming engine re-resolve only the windows a new seal can affect.
+    The batch path passes no seed.
+
     Accepted windows are mutually disjoint, so a candidate can only collide
     with its immediate neighbours in start order — the check is two bisected
-    comparisons instead of a scan over everything accepted, which keeps the
-    streaming engine's periodic re-resolution cheap on long channels.
+    comparisons instead of a scan over everything accepted.
     """
     from bisect import bisect_left
 
     ranked = sorted(candidates, key=lambda w: (-w.message_count, w.start))
-    accepted: list = []
-    accepted_starts: list[float] = []
+    accepted = list(accepted)
+    accepted_starts = [window.start for window in accepted]
     for window in ranked:
         index = bisect_left(accepted_starts, window.start)
         if index > 0 and accepted[index - 1].end > window.start:

@@ -19,8 +19,8 @@ prediction + adjustment stages incrementally:
 The scoring pass mirrors the batch code path operation-for-operation
 (min-max normalise over all windows, flip the length column, logistic
 probabilities, greedy top-k under the δ spacing constraint, peak − c
-adjustment) but runs over O(#windows) cached summaries instead of
-re-processing O(#messages) chat.
+adjustment) but runs over the window state's cached arrays — one vectorised
+pass over the accepted windows — instead of re-processing O(#messages) chat.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.config import LightorConfig
 from repro.core.initializer.initializer import HighlightInitializer, InitializerModel
 from repro.core.initializer.predictor import FeatureSet, select_spaced_top_k
 from repro.core.types import ChatMessage, RedDot
 from repro.streaming.events import DotEmitted, DotRetracted, StreamEvent
-from repro.streaming.state import IncrementalWindowState, WindowSummary
+from repro.streaming.state import IncrementalWindowState, ScorableWindows
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = ["EmitPolicy", "StreamingInitializer"]
@@ -212,9 +210,9 @@ class StreamingInitializer:
         """
         if self.final_dots is not None:
             return list(self.final_dots)
-        summaries = self._state.finalize(duration)
+        self._state.finalize(duration)
         stream_time = duration if duration is not None else self._state.last_timestamp
-        dots = self._score_and_select(summaries)
+        dots = self._score_and_select(self._state.scorable_summaries())
         self.final_events = self._diff_live(dots, stream_time, min_score=None)
         self.final_dots = dots
         return list(dots)
@@ -334,34 +332,32 @@ class StreamingInitializer:
         dots = self._score_and_select(self._state.scorable_summaries())
         return self._diff_live(dots, stream_time, min_score=self.policy.min_score)
 
-    def _score_and_select(self, summaries: list[WindowSummary]) -> list[RedDot]:
-        """The batch prediction + adjustment stages over window summaries.
+    def _score_and_select(self, windows: ScorableWindows) -> list[RedDot]:
+        """The batch prediction + adjustment stages over the accepted windows.
 
         Normalisation (``WindowFeatureExtractor.normalise``), the logistic
         model, the top-k selection (``select_spaced_top_k``) and the peak
         adjustment (``PeakAdjuster.adjust``) are all the *same objects and
-        functions* the batch path runs, applied to the cached summaries —
-        parity with ``HighlightInitializer.propose`` is structural.
+        functions* the batch path runs, applied to the same raw feature
+        matrix — parity with ``HighlightInitializer.propose`` is structural.
+        Dots are built only for the ``k`` picks.
         """
-        if not summaries:
+        if not len(windows):
             return []
-        raw = np.vstack([summary.raw_array for summary in summaries])
-        scaled = self.model.predictor.extractor.normalise(raw)
+        scaled = self.model.predictor.extractor.normalise(windows.raw)
         features = scaled[:, self.feature_set.column_indices]
         probabilities = self.model.predictor.model.predict_proba(features)
-        records = [
-            (summary, float(probability), summary.peak, summary.start)
-            for summary, probability in zip(summaries, probabilities)
-        ]
-        selected = select_spaced_top_k(records, self.k, self.config.min_dot_spacing)
+        picks = select_spaced_top_k(
+            probabilities, windows.peak, windows.start, self.k, self.config.min_dot_spacing
+        )
         dots = [
             RedDot(
-                position=self.model.adjuster.adjust(summary.peak),
-                score=score,
-                window=(summary.start, summary.end),
+                position=self.model.adjuster.adjust(float(windows.peak[pick])),
+                score=float(probabilities[pick]),
+                window=(float(windows.start[pick]), float(windows.end[pick])),
                 video_id=self.video_id,
             )
-            for summary, score, _, _ in selected
+            for pick in picks
         ]
         return sorted(dots, key=lambda dot: dot.position)
 

@@ -7,9 +7,12 @@ of them) and *seals* a window once the stream has moved past its end: at
 seal time the window's raw feature triple and chat peak are computed once,
 its messages are dropped, and only a small :class:`WindowSummary` is kept.
 
-Scoring (normalise → logistic → top-k) is deferred to evaluation points and
-runs over the summaries — O(#windows), never O(#messages) — which is what
-makes per-message updates cheap enough for live traffic.
+Scoring (normalise → logistic → top-k) is deferred to evaluation points.
+Each summary is also written once, at seal time, into append-only arrays,
+and the overlap-resolved (accepted) set is kept current incrementally: a
+new seal re-resolves only the windows it can affect.  An evaluation is then
+O(new windows) of Python plus one vectorised NumPy pass over the accepted
+rows — never O(#messages), and no per-summary Python work over the history.
 
 Parity: sealing uses :class:`~repro.core.initializer.features.RunningWindowFeatures`
 and :meth:`~repro.core.initializer.windows.SlidingWindow.peak_timestamp`,
@@ -34,7 +37,9 @@ from repro.core.types import ChatMessage
 from repro.ml.text import tokenize
 from repro.utils.validation import ValidationError
 
-__all__ = ["WindowSummary", "IncrementalWindowState"]
+__all__ = ["WindowSummary", "ScorableWindows", "IncrementalWindowState"]
+
+_INITIAL_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -47,10 +52,23 @@ class WindowSummary:
     peak: float
     raw: WindowFeatures
 
-    @property
-    def raw_array(self) -> np.ndarray:
-        """The raw feature triple as a ``(3,)`` vector."""
-        return self.raw.as_array()
+
+@dataclass(frozen=True)
+class ScorableWindows:
+    """The overlap-resolved sealed windows as parallel arrays, in start order.
+
+    Row ``i`` of ``raw`` (the ``(n, 3)`` raw feature matrix) belongs to the
+    window ``[start[i], end[i])`` whose chat peaks at ``peak[i]``.  The arrays
+    are copies, so later seals never change a view already handed out.
+    """
+
+    raw: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    peak: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
 
 
 @dataclass
@@ -84,6 +102,17 @@ class IncrementalWindowState:
     _token_cache: dict[int, tuple[ChatMessage, list[str]]] = field(
         default_factory=dict, repr=False
     )
+    # Derived state, rebuilt from the summaries on restore: row ``i`` of each
+    # array mirrors ``_summaries[i]`` (capacity doubles as rows are added),
+    # and ``_accepted`` marks the rows overlap resolution keeps.  Rows from
+    # ``_resolved_rows`` on were sealed after the mask was last brought up
+    # to date, so their mask entries are not yet meaningful.
+    _raw: np.ndarray = field(init=False, repr=False, compare=False)
+    _start: np.ndarray = field(init=False, repr=False, compare=False)
+    _end: np.ndarray = field(init=False, repr=False, compare=False)
+    _peak: np.ndarray = field(init=False, repr=False, compare=False)
+    _accepted: np.ndarray = field(init=False, repr=False, compare=False)
+    _resolved_rows: int = field(default=0, init=False, repr=False, compare=False)
     dropped_summaries: int = 0
     last_timestamp: float = 0.0
     finalized: bool = False
@@ -94,6 +123,11 @@ class IncrementalWindowState:
             stride=self.stride,
             min_messages=self.min_messages,
         )
+        self._raw = np.empty((_INITIAL_CAPACITY, 3))
+        self._start = np.empty(_INITIAL_CAPACITY)
+        self._end = np.empty(_INITIAL_CAPACITY)
+        self._peak = np.empty(_INITIAL_CAPACITY)
+        self._accepted = np.zeros(_INITIAL_CAPACITY, dtype=bool)
 
     # ------------------------------------------------------------------ feed
     def add(self, message: ChatMessage) -> list[WindowSummary]:
@@ -101,8 +135,7 @@ class IncrementalWindowState:
         self.last_timestamp = max(self.last_timestamp, message.timestamp)
         sealed = [self._summarise(window) for window in self._builder.add(message)]
         if sealed:
-            self._summaries.extend(sealed)
-            self._enforce_cap()
+            self._append(sealed)
             self._prune_token_cache()
         return sealed
 
@@ -121,8 +154,7 @@ class IncrementalWindowState:
         sealed = [self._summarise(window) for window in self._builder.add_batch(messages)]
         self.last_timestamp = max(self.last_timestamp, messages[-1].timestamp)
         if sealed:
-            self._summaries.extend(sealed)
-            self._enforce_cap()
+            self._append(sealed)
             self._prune_token_cache()
         return sealed
 
@@ -130,11 +162,10 @@ class IncrementalWindowState:
         """Close the stream and return the *scorable* window set.
 
         The remaining open windows are flushed (truncated at ``duration``,
-        exactly like the batch builder), then the min-message filter and the
-        greedy overlap resolution run over all summaries — the same global
-        steps :func:`~repro.core.initializer.windows.build_sliding_windows`
-        applies — so the returned list corresponds one-to-one with the batch
-        windows.
+        exactly like the batch builder), then the greedy overlap resolution
+        is brought up to date over all summaries — the same global step
+        :func:`~repro.core.initializer.windows.build_sliding_windows` applies
+        — so the returned list corresponds one-to-one with the batch windows.
 
         ``duration`` defaults to the last seen message timestamp.  A
         duration *before* chat already observed is rejected: the batch
@@ -150,13 +181,12 @@ class IncrementalWindowState:
         if not self.finalized:
             closing = duration if duration is not None else self.last_timestamp
             if closing > 0:
-                self._summaries.extend(
-                    self._summarise(window) for window in self._builder.flush(closing)
+                self._append(
+                    [self._summarise(window) for window in self._builder.flush(closing)]
                 )
-                self._enforce_cap()
             self._token_cache.clear()
             self.finalized = True
-        return self._resolved(self._summaries)
+        return [self._summaries[row] for row in self._accepted_rows().tolist()]
 
     # ------------------------------------------------------------- durability
     def snapshot(self) -> dict:
@@ -211,9 +241,7 @@ class IncrementalWindowState:
             min_messages=payload["min_messages"],
             max_summaries=payload["max_summaries"],
         )
-        state._summaries = [
-            codecs.window_summary_from_dict(s) for s in payload["summaries"]
-        ]
+        state._append([codecs.window_summary_from_dict(s) for s in payload["summaries"]])
         state.dropped_summaries = payload["dropped_summaries"]
         state.last_timestamp = payload["last_timestamp"]
         state.finalized = payload["finalized"]
@@ -233,15 +261,23 @@ class IncrementalWindowState:
         return state
 
     # ------------------------------------------------------------------ views
-    def scorable_summaries(self) -> list[WindowSummary]:
-        """The current sealed windows after overlap resolution.
+    def scorable_summaries(self) -> ScorableWindows:
+        """The current sealed windows after overlap resolution, as arrays.
 
         This is the *provisional* view used mid-stream: it only covers
         windows whose chat has fully played out (a window seals
         ``window_size`` seconds after it opens), so the live engine's dots
-        trail the live edge by at most one window.
+        trail the live edge by at most one window.  Windows sealed since the
+        last call are resolved here (see :meth:`_accepted_rows`); the rest
+        is one NumPy gather of the accepted rows.
         """
-        return self._resolved(self._summaries)
+        rows = self._accepted_rows()
+        return ScorableWindows(
+            raw=self._raw[rows],
+            start=self._start[rows],
+            end=self._end[rows],
+            peak=self._peak[rows],
+        )
 
     @property
     def summary_count(self) -> int:
@@ -293,13 +329,117 @@ class IncrementalWindowState:
             if entry[0].timestamp >= frontier
         }
 
-    def _resolved(self, summaries: list[WindowSummary]) -> list[WindowSummary]:
-        if self.stride >= self.window_size:
-            return sorted(summaries, key=lambda s: s.start)
-        return resolve_overlapping_windows(summaries)
+    def _append(self, sealed: list[WindowSummary]) -> None:
+        """Retain newly sealed summaries and write their rows, once."""
+        first = len(self._summaries)
+        self._summaries.extend(sealed)
+        if len(self._summaries) > len(self._start):
+            capacity = max(len(self._summaries), 2 * len(self._start))
+            self._raw = _grown(self._raw, capacity, first)
+            self._start = _grown(self._start, capacity, first)
+            self._end = _grown(self._end, capacity, first)
+            self._peak = _grown(self._peak, capacity, first)
+            self._accepted = _grown(self._accepted, capacity, first)
+        for row, summary in enumerate(sealed, first):
+            raw = summary.raw
+            self._raw[row] = (raw.message_number, raw.message_length, raw.message_similarity)
+            self._start[row] = summary.start
+            self._end[row] = summary.end
+            self._peak[row] = summary.peak
+        self._enforce_cap()
 
     def _enforce_cap(self) -> None:
         if self.max_summaries is not None and len(self._summaries) > self.max_summaries:
             overflow = len(self._summaries) - self.max_summaries
             del self._summaries[:overflow]
+            kept = len(self._summaries)
+            for rows in (self._raw, self._start, self._end, self._peak):
+                rows[:kept] = rows[overflow : overflow + kept]
+            # Dropping the densest old windows can free any later window, so
+            # the whole retained history is re-resolved.
+            self._resolved_rows = 0
             self.dropped_summaries += overflow
+
+    def _accepted_rows(self) -> np.ndarray:
+        """Bring overlap resolution up to date; return the accepted rows.
+
+        The result equals ``resolve_overlapping_windows(all summaries)``
+        (rows in start order), but only windows a new seal can affect are
+        re-resolved.  Greedy resolution accepts a window iff no accepted
+        window ranked above it under ``(-message_count, start)`` overlaps
+        it, so a new window can change only windows reachable from it
+        through a chain of overlapping windows, each ranked below the one
+        before.  Every other window keeps its status, and every unaffected
+        accepted window that overlaps an affected one ranks above it, so
+        those neighbours seed the resolver exactly.
+        """
+        size = len(self._summaries)
+        first = self._resolved_rows
+        if first < size:
+            if first == 0:
+                self._resolve(list(range(size)), seed_rows=[])
+            else:
+                affected = self._affected_rows(first, size)
+                seed_rows = {
+                    other
+                    for row in affected
+                    for other in self._overlapping(row)
+                    if other not in affected and self._accepted[other]
+                }
+                self._resolve(sorted(affected), sorted(seed_rows))
+            self._resolved_rows = size
+        return np.flatnonzero(self._accepted[:size])
+
+    def _affected_rows(self, first: int, size: int) -> set[int]:
+        """Rows ``first:size`` plus every row reachable by descending rank."""
+        summaries = self._summaries
+        affected = set(range(first, size))
+        frontier = list(affected)
+        while frontier:
+            row = frontier.pop()
+            rank = (-summaries[row].message_count, summaries[row].start)
+            for other in self._overlapping(row):
+                if other not in affected and (
+                    (-summaries[other].message_count, summaries[other].start) > rank
+                ):
+                    affected.add(other)
+                    frontier.append(other)
+        return affected
+
+    def _overlapping(self, row: int):
+        """Rows whose window overlaps ``row``'s.
+
+        Starts increase and ends never decrease along the rows (windows seal
+        in start order; only the final flush truncates, at one duration), so
+        the overlapping rows are a contiguous run on each side of ``row``.
+        """
+        summaries = self._summaries
+        window = summaries[row]
+        other = row - 1
+        while other >= 0 and summaries[other].end > window.start:
+            yield other
+            other -= 1
+        other = row + 1
+        while other < len(summaries) and summaries[other].start < window.end:
+            yield other
+            other += 1
+
+    def _resolve(self, rows: list[int], seed_rows: list[int]) -> None:
+        """Re-run the shared resolver over ``rows`` against fixed accepted rows."""
+        summaries = self._summaries
+        row_at = {summaries[row].start: row for row in rows}
+        self._accepted[rows] = False
+        accepted = resolve_overlapping_windows(
+            [summaries[row] for row in rows], [summaries[row] for row in seed_rows]
+        )
+        for window in accepted:
+            row = row_at.get(window.start)
+            if row is not None:
+                self._accepted[row] = True
+
+
+def _grown(rows: np.ndarray, capacity: int, used: int) -> np.ndarray:
+    """A copy of ``rows`` with room for ``capacity`` rows; the first ``used`` kept."""
+    grown = np.empty((capacity,) + rows.shape[1:], dtype=rows.dtype)
+    grown[:used] = rows[:used]
+    return grown

@@ -10,7 +10,14 @@ also pins the window/feature layers the contract rests on.
 
 from __future__ import annotations
 
+import json
+import statistics
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import LightorConfig
 from repro.core.initializer.features import RunningWindowFeatures, WindowFeatureExtractor
@@ -23,12 +30,17 @@ from repro.core.initializer.windows import (
     resolve_overlapping_windows,
 )
 from repro.core.pipeline import LightorPipeline
-from repro.core.types import ChatMessage, Video, VideoChatLog
+from repro.core.types import ChatMessage, RedDot, Video, VideoChatLog
 from repro.datasets.generate import DatasetSpec, build_dataset
 from repro.datasets.loaders import training_pairs
 from repro.eval.parity import compare_red_dots
+from repro.loadgen.workload import LoadWorkload, WorkloadSpec
 from repro.streaming import EmitPolicy, StreamingInitializer
 from repro.utils.validation import ValidationError
+
+# Snapshot JSON of a fixed stream, recorded with the list-based scorer: the
+# cached arrays are derived state and must leave the format byte-identical.
+_SNAPSHOT_FIXTURE = Path(__file__).parent / "fixtures" / "streaming_initializer_snapshot.json"
 
 # Five seeded end-to-end scenarios (the ISSUE's acceptance bar) plus
 # geometry/feature variants.  Each tuple: dataset seed, window size, stride,
@@ -178,3 +190,283 @@ class TestFeatureParity:
             plain.add(text)
             shared.add(text, tokens=tokenize(text))
         assert plain.raw() == shared.raw()
+
+
+# ---------------------------------------------------------------------------
+# Incremental provisional re-score vs. the list-based reference scorer
+# ---------------------------------------------------------------------------
+
+_TEXTS = ("gg", "PogChamp", "what a play", "lol", "KILL!! KILL!!", "", "nice one gg")
+
+
+def _reference_top_k(records, k, min_spacing):
+    """The record-based spaced top-k: ``(item, score, peak, start)`` tuples."""
+    ranked = sorted(records, key=lambda record: (-(record[1] or 0.0), record[3]))
+    selected = []
+    for record in ranked:
+        if len(selected) >= k:
+            break
+        if any(abs(record[2] - chosen[2]) <= min_spacing for chosen in selected):
+            continue
+        selected.append(record)
+    return sorted(selected, key=lambda record: record[3])
+
+
+def _reference_dots(engine, summaries):
+    """The list-based provisional scorer: stack every accepted summary, score all."""
+    if not summaries:
+        return []
+    predictor = engine.model.predictor
+    raw = np.vstack([summary.raw.as_array() for summary in summaries])
+    scaled = predictor.extractor.normalise(raw)
+    probabilities = predictor.model.predict_proba(scaled[:, engine.feature_set.column_indices])
+    records = [
+        (summary, float(probability), summary.peak, summary.start)
+        for summary, probability in zip(summaries, probabilities)
+    ]
+    selected = _reference_top_k(records, engine.k, engine.config.min_dot_spacing)
+    dots = [
+        RedDot(
+            position=engine.model.adjuster.adjust(summary.peak),
+            score=score,
+            window=(summary.start, summary.end),
+            video_id=engine.video_id,
+        )
+        for summary, score, _, _ in selected
+    ]
+    return sorted(dots, key=lambda dot: dot.position)
+
+
+def _check_every_scoring(engine) -> list[int]:
+    """Check each evaluation's (and finalize's) scoring against the reference.
+
+    The accepted set must equal a from-scratch resolution of every retained
+    summary, and the dots must equal the reference scorer's over that set.
+    Returns a list that grows by one per checked scoring.
+    """
+    checked: list[int] = []
+    score = engine._score_and_select
+
+    def score_and_check(windows):
+        expected = resolve_overlapping_windows(list(engine._state._summaries))
+        assert list(zip(windows.start.tolist(), windows.end.tolist())) == [
+            (summary.start, summary.end) for summary in expected
+        ]
+        assert windows.peak.tolist() == [summary.peak for summary in expected]
+        assert windows.raw.tolist() == [summary.raw.as_array().tolist() for summary in expected]
+        dots = score(windows)
+        assert dots == _reference_dots(engine, expected)
+        checked.append(len(expected))
+        return dots
+
+    engine._score_and_select = score_and_check
+    return checked
+
+
+@st.composite
+def _live_channels(draw):
+    """A chat stream, its batch split and the engine settings to replay it with.
+
+    Timestamps sit on a half-second grid with a few dense bursts, so window
+    message counts tie often and dense windows sit next to sparse ones.
+    """
+    horizon = draw(st.integers(min_value=20, max_value=900))
+    points = draw(st.lists(st.integers(0, 2 * horizon), max_size=250))
+    for centre in draw(st.lists(st.integers(0, 2 * horizon), max_size=4)):
+        spread = draw(st.integers(1, 30))
+        points += [centre + offset for offset in range(0, 2 * spread, 2)] * draw(
+            st.integers(1, 3)
+        )
+    timestamps = sorted(point / 2.0 for point in points)
+    messages = [
+        ChatMessage(
+            timestamp=timestamp,
+            user=f"user_{index % 4}",
+            text=_TEXTS[draw(st.integers(0, len(_TEXTS) - 1))],
+        )
+        for index, timestamp in enumerate(timestamps)
+    ]
+    sizes = []
+    remaining = len(messages)
+    while remaining > 0:
+        sizes.append(draw(st.integers(min_value=1, max_value=min(512, remaining))))
+        remaining -= sizes[-1]
+    last = timestamps[-1] if timestamps else 0.0
+    return {
+        "messages": messages,
+        "sizes": sizes,
+        # l/2, l/3, l and beyond l for a 25 s window.
+        "stride": draw(st.sampled_from([12.5, 25.0 / 3.0, 25.0, 40.0])),
+        "min_dot_spacing": draw(st.sampled_from([0.0, 20.0, 120.0])),
+        "k": draw(st.integers(1, 8)),
+        "cap": draw(st.one_of(st.none(), st.integers(1, 40))),
+        "policy": EmitPolicy(
+            eval_every_messages=draw(st.integers(1, 60)),
+            eval_every_seconds=float(draw(st.integers(1, 60))),
+        ),
+        # A duration past the last message truncates the flushed tail windows.
+        "duration": last + draw(st.sampled_from([0.0, 0.5, 7.25, 19.0, 40.0])),
+    }
+
+
+def _chunks(messages, sizes):
+    start = 0
+    for size in sizes:
+        yield messages[start : start + size]
+        start += size
+
+
+class TestIncrementalRescore:
+    """The array-cached re-score is exact at every evaluation."""
+
+    @given(channel=_live_channels())
+    @settings(max_examples=80, deadline=None)
+    def test_every_evaluation_matches_reference_scorer(self, channel, fitted_initializer):
+        config = fitted_initializer.config.with_overrides(
+            window_stride=channel["stride"], min_dot_spacing=channel["min_dot_spacing"]
+        )
+        engine = StreamingInitializer.from_initializer(
+            fitted_initializer,
+            config=config,
+            k=channel["k"],
+            policy=channel["policy"],
+            max_window_summaries=channel["cap"],
+            video_id="live",
+        )
+        checked = _check_every_scoring(engine)
+        for chunk in _chunks(channel["messages"], channel["sizes"]):
+            engine.ingest_batch(chunk)
+        assert len(checked) == engine.evaluations_run
+        if channel["duration"] > 0:
+            engine.finalize(channel["duration"])
+            assert len(checked) == engine.evaluations_run + 1
+            state = engine._state
+            assert state.finalize(channel["duration"]) == resolve_overlapping_windows(
+                list(state._summaries)
+            )
+
+    def test_head_drops_and_ties_are_exercised(self, fitted_initializer):
+        """A deterministic capped, tie-heavy channel: every drop re-resolves exactly."""
+        messages = [
+            ChatMessage(timestamp=float(second), text="gg")
+            for second in range(0, 600, 3)
+        ] + [ChatMessage(timestamp=600.0 + second / 4.0, text="KILL") for second in range(80)]
+        engine = StreamingInitializer.from_initializer(
+            fitted_initializer,
+            policy=EmitPolicy(eval_every_messages=1, eval_every_seconds=1.0),
+            max_window_summaries=12,
+        )
+        checked = _check_every_scoring(engine)
+        for message in messages:
+            engine.ingest(message)
+        engine.finalize(650.0)
+        assert engine._state.dropped_summaries > 0
+        assert len(checked) == engine.evaluations_run + 1 > 40
+
+
+def _fixed_channel():
+    """A deterministic 400 s chat stream with two bursts."""
+    rng = np.random.default_rng(7)
+    timestamps = np.sort(
+        np.concatenate(
+            [
+                rng.uniform(0.0, 400.0, 160),
+                rng.normal(120.0, 4.0, 40).clip(0.0, 399.0),
+                rng.normal(300.0, 6.0, 50).clip(0.0, 399.0),
+            ]
+        )
+    )
+    return [
+        ChatMessage(
+            timestamp=float(timestamp),
+            user=f"user_{index % 6}",
+            text=_TEXTS[int(rng.integers(len(_TEXTS)))],
+        )
+        for index, timestamp in enumerate(timestamps)
+    ]
+
+
+def _strict_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+class TestSnapshotFormat:
+    """The cached arrays are derived state: snapshots and restores are unchanged."""
+
+    DURATION = 420.0
+    CHUNK = 16
+
+    def _engine(self, fitted_initializer):
+        return StreamingInitializer.from_initializer(
+            fitted_initializer,
+            k=5,
+            policy=EmitPolicy(eval_every_messages=20, eval_every_seconds=15.0),
+            video_id="fixed",
+        )
+
+    def test_snapshot_json_matches_recorded_format(self, fitted_initializer):
+        """Mid-stream and closed snapshots byte-equal the recorded fixture."""
+        messages = _fixed_channel()
+        engine = self._engine(fitted_initializer)
+        engine.ingest_batch(messages[:130])
+        mid = _strict_json(engine.snapshot())
+        engine.ingest_batch(messages[130:])
+        engine.finalize(self.DURATION)
+        closed = _strict_json(engine.snapshot())
+        recorded = json.loads(_SNAPSHOT_FIXTURE.read_text())
+        assert mid == recorded["mid_stream"]
+        assert closed == recorded["finalized"]
+
+    def test_restore_at_every_evaluation_continues_identically(self, fitted_initializer):
+        messages = _fixed_channel()
+        chunks = [messages[i : i + self.CHUNK] for i in range(0, len(messages), self.CHUNK)]
+        engine = self._engine(fitted_initializer)
+        events, snapshots = [], {}
+        for index, chunk in enumerate(chunks):
+            before = engine.evaluations_run
+            events.append(engine.ingest_batch(chunk))
+            if engine.evaluations_run > before:
+                snapshots[index] = _strict_json(engine.snapshot())
+        final = engine.finalize(self.DURATION)
+        assert len(snapshots) > 10
+
+        for index, snapshot in snapshots.items():
+            restored = StreamingInitializer.restore(
+                json.loads(snapshot), model=fitted_initializer.model
+            )
+            assert _strict_json(restored.snapshot()) == snapshot
+            resumed = [restored.ingest_batch(chunk) for chunk in chunks[index + 1 :]]
+            assert resumed == events[index + 1 :]
+            assert restored.finalize(self.DURATION) == final
+            assert restored.final_events == engine.final_events
+
+
+class TestBoundedRescoreWork:
+    """Per-evaluation resolution work tracks new windows, not stream age."""
+
+    def test_candidates_per_evaluation_do_not_grow_with_stream_age(
+        self, fitted_initializer, monkeypatch
+    ):
+        import repro.streaming.state as state_module
+
+        passed: list[int] = []
+        resolve = state_module.resolve_overlapping_windows
+
+        def counting_resolve(candidates, *args):
+            passed.append(len(candidates))
+            return resolve(candidates, *args)
+
+        monkeypatch.setattr(state_module, "resolve_overlapping_windows", counting_resolve)
+        spec = WorkloadSpec(channels=1, viewers=1, duration=6 * 3600.0, stretch=True)
+        chat = LoadWorkload.from_spec(spec).plans[0].chat
+        engine = StreamingInitializer.from_initializer(fitted_initializer)
+        by_hour: dict[int, list[int]] = {}
+        for message in chat:
+            before, seen = engine.evaluations_run, len(passed)
+            engine.ingest(message)
+            if engine.evaluations_run > before:
+                hour = int(message.timestamp // 3600)
+                by_hour.setdefault(hour, []).append(sum(passed[seen:]))
+        assert engine.window_summary_count > 1000
+        first, sixth = statistics.median(by_hour[0]), statistics.median(by_hour[5])
+        assert sixth <= 2 * first, (first, sixth)
