@@ -6,6 +6,11 @@ corresponding experiment (at the ``small`` scale unless the
 rows/series the paper reports, and records the wall-clock through
 pytest-benchmark (one round — these are experiment harnesses, not
 micro-benchmarks).
+
+The infrastructure benches record their results in ``BENCH_*.json`` files.
+A plain run writes them under ``.bench_out/``, so running the suite leaves
+the committed records alone; set ``LIGHTOR_BENCH_RECORD=1`` to update the
+committed files at the repo root.
 """
 
 from __future__ import annotations
@@ -18,6 +23,16 @@ import pytest
 BENCH_SCALE = os.environ.get("LIGHTOR_BENCH_SCALE", "small")
 
 _BENCH_DIR = Path(__file__).parent.resolve()
+_REPO_ROOT = _BENCH_DIR.parent
+
+
+def results_path(filename: str) -> Path:
+    """Where a bench records ``filename`` (see the module docstring)."""
+    if os.environ.get("LIGHTOR_BENCH_RECORD") == "1":
+        return _REPO_ROOT / filename
+    out = _REPO_ROOT / ".bench_out"
+    out.mkdir(exist_ok=True)
+    return out / filename
 
 
 def pytest_collection_modifyitems(items):

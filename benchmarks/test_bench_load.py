@@ -4,22 +4,24 @@ Drives one deterministic soak workload (a Zipf fleet of marathon channels:
 chat firehoses, viewer-play firehoses, staggered lifecycles) through the
 sharded service at every point of a batch-size × shard-count grid and
 records wall-clock events/sec plus the per-stage breakdown in
-``BENCH_load.json`` at the repo root, so successive PRs can track the
-trajectory.
+``BENCH_load.json`` (under ``.bench_out/``; at the repo root with
+``LIGHTOR_BENCH_RECORD=1``), so successive PRs can track the trajectory.
 
 Two gates encode the PR's claims:
 
 * **batched and per-event ingest both hold their ground**: at full size,
-  the 1-shard memory row must reach absolute throughput floors.  Batch 512
-  must be at least the 12,252 events/s recorded at full size while the
-  provisional re-score still walked the whole window history, so batching
-  may not lose any of what it bought then.  Per-event (batch 1) must be at
-  least 3,206 events/s, twice that era's per-event figure (1,603 events/s;
-  both on a 2-CPU container), which only an evaluation costing O(new
-  windows) clears.  The re-score ceiling that once made batch 512 more than
-  5x per-event is gone, so their ratio (now about 3x) is recorded, not
-  gated; that the evaluation stays bounded as the stream ages is also
-  pinned deterministically in ``tests/test_streaming_parity.py``;
+  the 1-shard memory row must reach absolute throughput floors, taken
+  from three full-size runs of the code before the vectorised seal-time
+  featurizer on a 2-CPU container.  Batch 512 must reach 20,549 events/s,
+  the best of those runs: the featurizer is most of what a batched call
+  pays, and it clears that with room.  Per-event (batch 1) must reach
+  6,022 events/s, the worst of them: per-call overhead dominates
+  per-event serving, so there the change sits inside the host's
+  run-to-run spread, and a floor at the best run would fail about as
+  often as it passed.  The ratio of the two (about 3x) is recorded, not
+  gated; that the evaluation stays bounded as the
+  stream ages is also pinned deterministically in
+  ``tests/test_streaming_parity.py``;
 * **sharded + concurrent is still correct**: the oracle spot-check (a
   sequential single-shard replay of the byte-identical batches) must report
   zero divergences.
@@ -35,10 +37,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import results_path
 from repro.core.config import LightorConfig
 from repro.core.initializer.initializer import HighlightInitializer
 from repro.datasets import DatasetSpec, build_dataset
@@ -60,13 +62,13 @@ FULL_SIZE = not any(
     for knob in ("CHANNELS", "VIEWERS", "DURATION", "WORKERS", "SEED")
 )
 # events/s on the 1-shard memory row, keyed by batch size (see the docstring).
-THROUGHPUT_FLOORS = {512: 12_252.0, 1: 3_206.0}
+THROUGHPUT_FLOORS = {512: 20_549.0, 1: 6_022.0}
 SMOKE_SPEEDUP_GATE = 1.2
 # Host noise only ever slows a run, so a grid point under its floor is
 # re-measured and the best run counts.
 FLOOR_ATTEMPTS = 3
 
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_load.json"
+RESULTS_PATH = results_path("BENCH_load.json")
 
 
 @pytest.fixture(scope="module")

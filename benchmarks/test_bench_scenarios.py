@@ -4,7 +4,8 @@ Runs every scenario in :data:`repro.loadgen.scenarios.SCENARIOS` (flash
 crowd, chat flood, reconnect storm, multi-tenant fairness) through the
 sharded tier, asserts each scenario's declared oracle, and records the
 per-scenario throughput and verdicts under ``scenarios`` in
-``BENCH_load.json`` so successive PRs can track how the adversarial
+``BENCH_load.json`` (under ``.bench_out/``; at the repo root with
+``LIGHTOR_BENCH_RECORD=1``) so successive PRs can track how the adversarial
 shapes move relative to the steady fleet.
 
 The ``fairness`` scenario additionally runs over HTTP with the tightest
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import results_path
 from repro.core.config import LightorConfig
 from repro.core.initializer.initializer import HighlightInitializer
 from repro.datasets import DatasetSpec, build_dataset
@@ -45,7 +46,7 @@ FULL_SIZE = not any(
 )
 CPUS = len(os.sched_getaffinity(0))
 
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_load.json"
+RESULTS_PATH = results_path("BENCH_load.json")
 SPEC = WorkloadSpec(
     channels=CHANNELS,
     viewers=VIEWERS,

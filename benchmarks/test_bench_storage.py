@@ -7,8 +7,9 @@ families (chat, interactions, red dots, highlight records), then measures
 how concurrent interaction logging scales with the shard count through the
 sharded front door.
 
-Results are printed and appended to ``BENCH_storage.json`` at the repo root
-so successive PRs can track the trajectory.  Sizes shrink via the
+Results are printed and appended to ``BENCH_storage.json`` (under
+``.bench_out/``; at the repo root with ``LIGHTOR_BENCH_RECORD=1``) so
+successive PRs can track the trajectory.  Sizes shrink via the
 ``LIGHTOR_BENCH_STORAGE_*`` environment variables (the CI smoke job runs
 tiny sizes to keep the bench from rotting).
 """
@@ -19,10 +20,10 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import results_path
 from repro.core.initializer.initializer import HighlightInitializer
 from repro.core.types import ChatMessage, Highlight, Interaction, InteractionKind, RedDot, Video
 from repro.platform.backends import SQLiteStore, create_backend
@@ -35,7 +36,7 @@ INTERACTION_BATCH = 50
 SHARD_COUNTS = (1, 2, 4)
 WRITER_THREADS = int(os.environ.get("LIGHTOR_BENCH_STORAGE_WRITERS", "4"))
 
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_storage.json"
+RESULTS_PATH = results_path("BENCH_storage.json")
 
 VIDEO_DURATION = 7200.0
 

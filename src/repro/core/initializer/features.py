@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.initializer.windows import SlidingWindow
 from repro.ml.kmeans import average_similarity_to_center
 from repro.ml.scaler import MinMaxScaler
-from repro.ml.text import BagOfWordsVectorizer, tokenize
+from repro.ml.text import tokenize
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -100,16 +100,22 @@ class RunningWindowFeatures:
     def _average_length(self) -> float:
         if not self._token_counts:
             return 0.0
-        return float(np.mean(self._token_counts))
+        # Sums of small integers are exact, so this equals np.mean bit for bit.
+        return sum(self._token_counts) / len(self._token_counts)
 
     def _similarity(self) -> float:
         if len(self._token_lists) < 2:
             return 0.0
-        vectors = BagOfWordsVectorizer(binary=True).fit_transform_tokens(
-            self._token_lists
-        )
-        if vectors.shape[1] == 0:
-            return 0.0
+        # Binary bag-of-words over the first-seen vocabulary, built in one
+        # pass and set with one fancy-indexed assignment (setting a cell to
+        # 1.0 is idempotent, so repeated tokens need no care).
+        token_lists = self._token_lists
+        vocabulary: dict[str, int] = {}
+        index = vocabulary.setdefault
+        columns = [index(token, len(vocabulary)) for tokens in token_lists for token in tokens]
+        rows = np.repeat(np.arange(len(token_lists)), [len(tokens) for tokens in token_lists])
+        vectors = np.zeros((len(token_lists), len(vocabulary)))
+        vectors[rows, columns] = 1.0
         return average_similarity_to_center(vectors, exclude_self=True)
 
 

@@ -11,11 +11,8 @@ the description in Section IV-B of the paper.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.ml.text import cosine_similarity
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = ["one_cluster_center", "average_similarity_to_center", "kmeans"]
@@ -55,42 +52,29 @@ def average_similarity_to_center(vectors: np.ndarray, exclude_self: bool = True)
     the same topic?") while removing that artefact; a window with a single
     message scores 0 because there is nothing to agree with.
     """
-    data = np.asarray(vectors, dtype=float)
+    data = np.ascontiguousarray(vectors, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValidationError("vectors must be a non-empty 2-D array")
     n_messages = data.shape[0]
     if n_messages == 1:
         return 0.0 if exclude_self else 1.0
-    if not exclude_self:
-        center = one_cluster_center(data)
-        return float(np.mean([cosine_similarity(row, center) for row in data]))
-    total = data.sum(axis=0)
-    similarities = []
-    dot = np.dot
-    # This loop runs once per message at every window seal on the streaming
-    # hot path, so the cosine is inlined rather than calling
-    # cosine_similarity per row.  Bit-exactness with the reference
-    # formulation is preserved: np.linalg.norm on a 1-D vector is
-    # sqrt(dot(x, x)), elementwise ops ((total - data) / (n-1)) are
-    # independent of batching, and for binary vectors dot(row, row) is an
-    # exact small integer under any summation order, so the row norms can
-    # come from the (exact) row sums.
-    if ((data == 0.0) | (data == 1.0)).all():
-        centers = (total - data) / (n_messages - 1)
-        row_norms = np.sqrt(data.sum(axis=1))
-        for index in range(n_messages):
-            norm_row = float(row_norms[index])
-            center = centers[index]
-            norm_center = math.sqrt(float(dot(center, center)))
-            if norm_row == 0.0 or norm_center == 0.0:
-                similarities.append(0.0)
-            else:
-                similarities.append(float(dot(data[index], center) / (norm_row * norm_center)))
-        return float(np.mean(similarities))
-    for row in data:
-        others_center = (total - row) / (n_messages - 1)
-        similarities.append(cosine_similarity(row, others_center))
-    return float(np.mean(similarities))
+    if exclude_self:
+        centers = (data.sum(axis=0) - data) / (n_messages - 1)
+    else:
+        centers = one_cluster_center(data)
+    # One pass for every message at each window seal, bit-identical to a
+    # per-row cosine_similarity: np.vecdot runs the same per-row DOUBLE_dot
+    # kernel as np.dot (np.linalg.norm of a vector is sqrt(dot(x, x))), so
+    # every reduction keeps its summation order; the rest is elementwise and
+    # the final sum / n is exactly what np.mean computes.
+    row_norms = np.sqrt(np.vecdot(data, data))
+    center_norms = np.sqrt(np.vecdot(centers, centers))
+    scored = (row_norms != 0.0) & (center_norms != 0.0)
+    similarities = np.zeros(n_messages)
+    np.divide(
+        np.vecdot(data, centers), row_norms * center_norms, out=similarities, where=scored
+    )
+    return float(similarities.sum() / n_messages)
 
 
 def kmeans(

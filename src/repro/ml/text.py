@@ -54,24 +54,10 @@ def vocabulary_from_messages(messages: Iterable[str]) -> dict[str, int]:
     Tokens are indexed in first-seen order so the mapping is deterministic
     for a fixed message order.
     """
-    return vocabulary_from_token_lists(tokenize(message) for message in messages)
-
-
-def vocabulary_from_token_lists(
-    token_lists: Iterable[Sequence[str]],
-) -> dict[str, int]:
-    """Build a first-seen-order vocabulary from pre-tokenised messages.
-
-    The streaming engine tokenizes each chat message once and shares the
-    token list across the windows containing it; this entry point lets it
-    build the same vocabulary :func:`vocabulary_from_messages` would,
-    without re-tokenizing.
-    """
     vocabulary: dict[str, int] = {}
-    for tokens in token_lists:
-        for token in tokens:
-            if token not in vocabulary:
-                vocabulary[token] = len(vocabulary)
+    for message in messages:
+        for token in tokenize(message):
+            vocabulary.setdefault(token, len(vocabulary))
     return vocabulary
 
 
@@ -104,43 +90,15 @@ class BagOfWordsVectorizer:
         """Fit the vocabulary on ``messages`` and vectorise them."""
         return self.fit(messages).transform(messages)
 
-    # ------------------------------------------------------ pre-tokenised path
-    def fit_tokens(self, token_lists: Sequence[Sequence[str]]) -> "BagOfWordsVectorizer":
-        """Learn the vocabulary from pre-tokenised messages."""
-        self.vocabulary_ = vocabulary_from_token_lists(token_lists)
-        return self
-
     def transform_tokens(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
         """Vectorise pre-tokenised messages (same semantics as :meth:`transform`)."""
-        n_terms = len(self.vocabulary_)
-        matrix = np.zeros((len(token_lists), n_terms), dtype=float)
-        if self.binary:
-            # Hot path (window similarity feature): collect the (row, column)
-            # hits and set them in one fancy-indexed assignment — setting a
-            # cell to 1.0 is idempotent, so duplicate tokens need no care,
-            # and per-cell ``ndarray.__setitem__`` dispatch is avoided.
-            rows: list[int] = []
-            columns: list[int] = []
-            lookup = self.vocabulary_.get
-            for row, tokens in enumerate(token_lists):
-                for token in tokens:
-                    column = lookup(token)
-                    if column is not None:
-                        rows.append(row)
-                        columns.append(column)
-            if rows:
-                matrix[rows, columns] = 1.0
-            return matrix
+        matrix = np.zeros((len(token_lists), len(self.vocabulary_)), dtype=float)
         for row, tokens in enumerate(token_lists):
             for token in tokens:
                 column = self.vocabulary_.get(token)
                 if column is not None:
                     matrix[row, column] += 1.0
-        return matrix
-
-    def fit_transform_tokens(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
-        """Fit on and vectorise pre-tokenised messages in one call."""
-        return self.fit_tokens(token_lists).transform_tokens(token_lists)
+        return np.minimum(matrix, 1.0) if self.binary else matrix
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -35,6 +35,8 @@ from repro.datasets.generate import DatasetSpec, build_dataset
 from repro.datasets.loaders import training_pairs
 from repro.eval.parity import compare_red_dots
 from repro.loadgen.workload import LoadWorkload, WorkloadSpec
+from repro.ml.kmeans import average_similarity_to_center
+from repro.ml.text import BagOfWordsVectorizer, tokenize
 from repro.streaming import EmitPolicy, StreamingInitializer
 from repro.utils.validation import ValidationError
 
@@ -181,8 +183,6 @@ class TestFeatureParity:
             assert running.raw() == extractor.raw_features(window)
 
     def test_pretokenized_add_matches(self):
-        from repro.ml.text import tokenize
-
         texts = ["KILL!! PogChamp", "gg wp", "", "   ", "rampage rampage"]
         plain = RunningWindowFeatures()
         shared = RunningWindowFeatures()
@@ -190,6 +190,122 @@ class TestFeatureParity:
             plain.add(text)
             shared.add(text, tokens=tokenize(text))
         assert plain.raw() == shared.raw()
+
+
+# ---------------------------------------------------------------------------
+# Vectorised seal-time featurizer vs. the per-row np.dot reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_similarity(vectors, exclude_self):
+    """The per-row cosine loop: one np.dot per message, np.linalg.norm norms."""
+    data = np.asarray(vectors, dtype=float)
+    n_messages = data.shape[0]
+    if n_messages == 1:
+        return 0.0 if exclude_self else 1.0
+    total = data.sum(axis=0)
+    similarities = []
+    for row in data:
+        center = (total - row) / (n_messages - 1) if exclude_self else data.mean(axis=0)
+        norm_row = float(np.linalg.norm(row))
+        norm_center = float(np.linalg.norm(center))
+        if norm_row == 0.0 or norm_center == 0.0:
+            similarities.append(0.0)
+        else:
+            similarities.append(float(np.dot(row, center) / (norm_row * norm_center)))
+    return float(np.mean(similarities))
+
+
+def _reference_features(texts):
+    """Raw feature triple via BagOfWordsVectorizer and the per-row loop."""
+    if not texts:
+        return (0.0, 0.0, 0.0)
+    length = float(np.mean([len(tokenize(text)) for text in texts]))
+    non_blank = [text for text in texts if text.strip()]
+    similarity = 0.0
+    if len(non_blank) >= 2:
+        vectors = BagOfWordsVectorizer(binary=True).fit_transform(non_blank)
+        if vectors.shape[1]:
+            similarity = _reference_similarity(vectors, exclude_self=True)
+    return (float(len(texts)), length, similarity)
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+_WORDS = tuple(f"w{index}" for index in range(400)) + ("gg", "PogChamp", "KILL", "!!", ":)")
+_BLANKS = ("", " ", "   ", "\t\n")
+
+
+@st.composite
+def _window_texts(draw):
+    """A window's messages; the word pool size sets how large the vocabulary gets."""
+    word = st.sampled_from(_WORDS[: draw(st.integers(1, len(_WORDS)))])
+    message = st.one_of(
+        st.sampled_from(_BLANKS), st.lists(word, min_size=1, max_size=12).map(" ".join)
+    )
+    return draw(st.lists(message, min_size=1, max_size=60))
+
+
+@st.composite
+def _message_matrices(draw):
+    """Binary or count-valued (n_messages, n_terms) matrices, zero rows and
+    empty vocabularies included."""
+    n_messages = draw(st.integers(1, 40))
+    n_terms = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(1, draw(st.sampled_from([1, 3, 9])) + 1, (n_messages, n_terms))
+    present = rng.random((n_messages, n_terms)) < draw(st.floats(0.0, 1.0))
+    return np.where(present, values, 0).astype(float)
+
+
+class TestFeaturizerExactness:
+    """The np.vecdot featurizer is bitwise the per-row np.dot formulation."""
+
+    @given(matrix=_message_matrices(), exclude_self=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_similarity_matches_per_row_dot(self, matrix, exclude_self):
+        assert _hex([average_similarity_to_center(matrix, exclude_self=exclude_self)]) == _hex(
+            [_reference_similarity(matrix, exclude_self)]
+        )
+
+    @given(texts=_window_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_window_features_match_reference(self, texts):
+        running = RunningWindowFeatures()
+        for text in texts:
+            running.add(text)
+        raw = running.raw()
+        assert _hex([raw.message_number, raw.message_length, raw.message_similarity]) == _hex(
+            _reference_features(texts)
+        )
+
+    def test_tokenless_messages_give_empty_vocabulary(self):
+        running = RunningWindowFeatures()
+        for text in ("gg", "wp", "lol"):
+            running.add(text, tokens=[])
+        raw = running.raw()
+        assert _hex([raw.message_number, raw.message_length, raw.message_similarity]) == _hex(
+            [3.0, 0.0, 0.0]
+        )
+
+    # Vocabulary sizes either side of the BLAS 16/32-element unroll blocks.
+    @pytest.mark.parametrize("n_terms", [1, 2, 15, 16, 17, 31, 32, 33, 64, 65, 129, 255, 300])
+    def test_block_boundary_vocabularies(self, n_terms):
+        rng = np.random.default_rng(n_terms)
+        texts = [
+            " ".join(_WORDS[column] for column in rng.permutation(n_terms)[: rng.integers(1, 9)])
+            for _ in range(30)
+        ]
+        texts[0] = " ".join(_WORDS[:n_terms])
+        running = RunningWindowFeatures()
+        for text in texts:
+            running.add(text)
+        raw = running.raw()
+        assert _hex([raw.message_number, raw.message_length, raw.message_similarity]) == _hex(
+            _reference_features(texts)
+        )
 
 
 # ---------------------------------------------------------------------------
