@@ -43,13 +43,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from threading import Lock, Thread
 
 from repro.core.initializer.initializer import HighlightInitializer
 from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
 from repro.loadgen.workload import LoadWorkload, WorkBatch
 from repro.platform import codecs
-from repro.platform.sharding import ShardedLightorService
+from repro.platform.sharding import ShardedLightorService, shard_db_path
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = [
@@ -603,7 +604,9 @@ def run_kill_recover(
        byte-for-byte against the same workload driven uninterrupted.
 
     Any divergence is a recovery bug and lands in the report (the CLI and
-    CI fail on it).
+    CI fail on it).  The per-shard database files must not exist yet: a
+    previous run's rows would be driven into and recovered as if this run
+    had written them.
     """
     require_positive(checkpoint_every, "checkpoint_every")
     if kill_after < 0:
@@ -613,6 +616,13 @@ def run_kill_recover(
             "kill/recover needs a file-backed SQLite store (pass db_path); "
             "an in-memory database cannot survive the simulated crash"
         )
+    for shard_index in range(shards):
+        stale = Path(shard_db_path(db_path, shard_index))
+        if stale.exists():
+            raise ValidationError(
+                f"kill/recover needs fresh database files, but {stale} already "
+                "exists (left by an earlier run?); remove it or pick another --db-path"
+            )
     if workload is None:
         workload = LoadWorkload.from_spec(spec)
     batches = workload.batches()

@@ -22,9 +22,11 @@ paper's Figure 5, layered for scale (see ``docs/architecture.md``):
   and one storage transaction per batch; byte-equivalent persisted state).
 * :mod:`recovery <repro.platform.recovery>` — durable checkpoint/recovery
   for live sessions: the service snapshots each open session into its
-  backend (on an event cadence, on kind flips, on eviction) and
+  backend (on an event cadence and on eviction), stamps every persisted
+  play batch with the channel's persisted chat count, and
   ``recover_live_sessions`` rebuilds every open session after a crash from
-  its latest snapshot plus the rows persisted since it.
+  its latest snapshot plus the rows persisted since it, replayed in their
+  original chat/plays order.
 * :mod:`placement <repro.platform.placement>` — the control plane: a
   versioned ``{channel -> shard}`` :class:`PlacementMap` (epoch 0 *is* the
   legacy consistent-hash ring) with migration pins, in-flight markers and

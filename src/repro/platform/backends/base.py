@@ -14,7 +14,10 @@ Semantics every backend must honour:
   *incremental* variant for live ingest (append in arrival order, one
   transaction per batch);
 * **interaction logs are append-only** and preserve arrival order (per-user
-  causality survives backward seeks);
+  causality survives backward seeks); each logged batch may carry an
+  ``after_chat`` stamp — how many chat rows the video had persisted when
+  the batch was logged — which is what lets recovery interleave a replayed
+  chat/plays suffix in its original order;
 * **red dots replace** and are stored sorted by position; an empty computed
   set is remembered (``has_red_dots``) so it is not confused with
   "never computed";
@@ -109,8 +112,19 @@ class StorageBackend(abc.ABC):
 
     # ---------------------------------------------------------- interactions
     @abc.abstractmethod
-    def log_interactions(self, video_id: str, interactions: Iterable[Interaction]) -> int:
-        """Append viewer interactions for a video; returns the new log size."""
+    def log_interactions(
+        self,
+        video_id: str,
+        interactions: Iterable[Interaction],
+        *,
+        after_chat: int | None = None,
+    ) -> int:
+        """Append viewer interactions for a video; returns the new log size.
+
+        ``after_chat`` stamps the batch with the video's *committed* chat
+        row count at logging time (``None`` = unstamped); durable backends
+        write the stamp in the same transaction as the rows.
+        """
 
     @abc.abstractmethod
     def get_interactions(self, video_id: str) -> list[Interaction]:
@@ -202,6 +216,18 @@ class StorageBackend(abc.ABC):
         """Interaction rows from ``offset`` on (override for O(suffix))."""
         return self.get_interactions(video_id)[offset:]
 
+    @abc.abstractmethod
+    def get_interaction_stamps_since(
+        self, video_id: str, offset: int
+    ) -> list[tuple[int | None, int]]:
+        """The ``after_chat`` stamps of the interaction rows from ``offset`` on.
+
+        Maximal runs of ``(after_chat, n_rows)`` in log order, covering
+        exactly the rows :meth:`get_interactions_since` returns (adjacent
+        batches with equal stamps share one run).  Recovery orders a mixed
+        chat/plays replay suffix by them.
+        """
+
     # --------------------------------------------------------------- summary
     @abc.abstractmethod
     def stats(self) -> dict[str, int]:
@@ -226,10 +252,11 @@ class StorageBackend(abc.ABC):
         The migration payload: everything :meth:`import_channel` needs to
         reproduce the channel byte-exactly on another shard — video
         metadata, the chat log in stored order, the interaction log in
-        arrival order, red dots (``None`` when never computed, preserving
-        the "computed: empty" vs "never computed" distinction), every
-        highlight record with its version and source, and the session
-        snapshot when one is checkpointed.  Unknown video ids are errors.
+        arrival order with its ``after_chat`` stamp runs, red dots
+        (``None`` when never computed, preserving the "computed: empty" vs
+        "never computed" distinction), every highlight record with its
+        version and source, and the session snapshot when one is
+        checkpointed.  Unknown video ids are errors.
         """
         from repro.platform import codecs
 
@@ -239,6 +266,9 @@ class StorageBackend(abc.ABC):
             "chat": [codecs.chat_message_to_dict(m) for m in self.get_chat(video_id)],
             "interactions": [
                 codecs.interaction_to_dict(i) for i in self.get_interactions(video_id)
+            ],
+            "interaction_stamps": [
+                list(run) for run in self.get_interaction_stamps_since(video_id, 0)
             ],
             "red_dots": (
                 [codecs.red_dot_to_dict(d) for d in self.get_red_dots(video_id)]
@@ -271,15 +301,28 @@ class StorageBackend(abc.ABC):
             raise ValidationError(
                 f"cannot import channel {video_id!r}: this shard already has rows for it"
             )
+        interactions = [
+            codecs.interaction_from_dict(i) for i in bundle.get("interactions") or []
+        ]
+        # A bundle from a build without stamps imports as one unstamped run.
+        stamps = bundle.get("interaction_stamps")
+        if stamps is None:
+            stamps = [(None, len(interactions))] if interactions else []
+        if sum(n_rows for _after_chat, n_rows in stamps) != len(interactions):
+            raise ValidationError(
+                f"interaction stamps of channel {video_id!r} do not cover its "
+                f"{len(interactions)} interaction rows"
+            )
         self.put_video(video)
         messages = [codecs.chat_message_from_dict(m) for m in bundle.get("chat") or []]
         if messages:
             self.append_chat(video_id, messages)
-        interactions = [
-            codecs.interaction_from_dict(i) for i in bundle.get("interactions") or []
-        ]
-        if interactions:
-            self.log_interactions(video_id, interactions)
+        start = 0
+        for after_chat, n_rows in stamps:
+            self.log_interactions(
+                video_id, interactions[start : start + n_rows], after_chat=after_chat
+            )
+            start += n_rows
         dots = bundle.get("red_dots")
         if dots is not None:
             self.put_red_dots(video_id, [codecs.red_dot_from_dict(d) for d in dots])

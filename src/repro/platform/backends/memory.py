@@ -26,6 +26,11 @@ class InMemoryStore(StorageBackend):
     _videos: dict[str, Video] = field(default_factory=dict, repr=False)
     _chat: dict[str, list[ChatMessage]] = field(default_factory=dict, repr=False)
     _interactions: dict[str, list[Interaction]] = field(default_factory=dict, repr=False)
+    # ``after_chat`` stamp runs per video: ``(first_row, after_chat)``, one
+    # entry per change of stamp rather than one per row or per batch.
+    _interaction_stamps: dict[str, list[tuple[int, int | None]]] = field(
+        default_factory=dict, repr=False
+    )
     _red_dots: dict[str, list[RedDot]] = field(default_factory=dict, repr=False)
     _highlights: dict[str, list[HighlightRecord]] = field(default_factory=dict, repr=False)
     _session_snapshots: dict[str, str] = field(default_factory=dict, repr=False)
@@ -81,11 +86,21 @@ class InMemoryStore(StorageBackend):
         return len(self._chat.get(video_id, ()))
 
     # ---------------------------------------------------------- interactions
-    def log_interactions(self, video_id: str, interactions: Iterable[Interaction]) -> int:
+    def log_interactions(
+        self,
+        video_id: str,
+        interactions: Iterable[Interaction],
+        *,
+        after_chat: int | None = None,
+    ) -> int:
         """Append viewer interactions for a video; returns the new log size."""
         self._require_known_video(video_id, "log interactions")
         log = self._interactions.setdefault(video_id, [])
+        first_row = len(log)
         log.extend(interactions)
+        runs = self._interaction_stamps.setdefault(video_id, [])
+        if len(log) > first_row and (not runs or runs[-1][1] != after_chat):
+            runs.append((first_row, after_chat))
         return len(log)
 
     def get_interactions(self, video_id: str) -> list[Interaction]:
@@ -167,6 +182,19 @@ class InMemoryStore(StorageBackend):
         """Interaction rows from ``offset`` on."""
         return self._interactions.get(video_id, [])[offset:]
 
+    def get_interaction_stamps_since(
+        self, video_id: str, offset: int
+    ) -> list[tuple[int | None, int]]:
+        """``(after_chat, n_rows)`` runs of the interaction rows from ``offset`` on."""
+        runs = self._interaction_stamps.get(video_id, [])
+        ends = [first_row for first_row, _ in runs[1:]]
+        ends.append(len(self._interactions.get(video_id, ())))
+        return [
+            (after_chat, end - max(first_row, offset))
+            for (first_row, after_chat), end in zip(runs, ends)
+            if end > offset
+        ]
+
     # ------------------------------------------------------ channel migration
     def delete_channel(self, video_id: str) -> bool:
         """Remove every stored row for one channel (migration source cleanup)."""
@@ -175,6 +203,7 @@ class InMemoryStore(StorageBackend):
             self._videos,
             self._chat,
             self._interactions,
+            self._interaction_stamps,
             self._red_dots,
             self._highlights,
             self._session_snapshots,

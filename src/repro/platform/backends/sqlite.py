@@ -16,7 +16,9 @@ new writes use the configured codec, reads dispatch on the stored value's
 type (``bytes`` → binary frame, ``str`` → JSON text), so a database written
 by any earlier version keeps reading — and both row shapes may coexist for
 one video (legacy per-message rows followed by batch rows share a single
-dense ``seq`` space).
+dense ``seq`` space).  The one schema change so far, format v3's nullable
+``interactions.after_chat`` stamp column, is added in place when an older
+file is opened; the rows already there read back unstamped.
 
 Concurrency: one connection guarded by an ``RLock`` (created with
 ``check_same_thread=False`` so the sharded service tier can call in from
@@ -26,6 +28,7 @@ multi-process reader does not block the writer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sqlite3
 import threading
@@ -79,9 +82,10 @@ CREATE TABLE IF NOT EXISTS chat_batches (
     PRIMARY KEY (video_id, first_seq)
 );
 CREATE TABLE IF NOT EXISTS interactions (
-    rowid    INTEGER PRIMARY KEY AUTOINCREMENT,
-    video_id TEXT NOT NULL,
-    payload  TEXT NOT NULL
+    rowid      INTEGER PRIMARY KEY AUTOINCREMENT,
+    video_id   TEXT NOT NULL,
+    payload    TEXT NOT NULL,
+    after_chat INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_interactions_video ON interactions (video_id);
 CREATE TABLE IF NOT EXISTS interaction_counts (
@@ -141,8 +145,12 @@ class SQLiteStore(StorageBackend):
     # Bumped when the *write* format grows a shape old readers cannot parse.
     # v2 = chat_batches blob rows + binary snapshot frames (reads of every
     # older shape keep working, so there is no migration step to run).
+    # v3 = the ``interactions.after_chat`` stamp column: the suffix past a
+    # session checkpoint may now mix chat and plays, which only a reader
+    # that orders them by the stamps can replay.  Opening an older file
+    # adds the (nullable) column; its rows stay unstamped.
     STORAGE_FORMAT_KEY = "storage_format_version"
-    STORAGE_FORMAT_VERSION = "2"
+    STORAGE_FORMAT_VERSION = "3"
 
     def __init__(
         self,
@@ -180,6 +188,14 @@ class SQLiteStore(StorageBackend):
                     f"{self.path} was written by storage format v{stored[0]}; "
                     f"this build reads at most v{self.STORAGE_FORMAT_VERSION} — "
                     "upgrade the code, not the file"
+                )
+            columns = {
+                row[1]
+                for row in self._connection.execute("PRAGMA table_info(interactions)")
+            }
+            if "after_chat" not in columns:
+                self._connection.execute(
+                    "ALTER TABLE interactions ADD COLUMN after_chat INTEGER"
                 )
             self._connection.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
@@ -382,16 +398,32 @@ class SQLiteStore(StorageBackend):
         ]
 
     # ---------------------------------------------------------- interactions
-    def log_interactions(self, video_id: str, interactions: Iterable[Interaction]) -> int:
-        """Append viewer interactions for a video; returns the new log size."""
+    def log_interactions(
+        self,
+        video_id: str,
+        interactions: Iterable[Interaction],
+        *,
+        after_chat: int | None = None,
+    ) -> int:
+        """Append viewer interactions for a video; returns the new log size.
+
+        Every row of the batch carries the batch's ``after_chat`` stamp,
+        written in the same transaction as the rows themselves.
+        """
         self._require_known_video(video_id, "log interactions")
         rows = [
-            (video_id, json.dumps(codecs.interaction_to_dict(interaction), allow_nan=False))
+            (
+                video_id,
+                json.dumps(codecs.interaction_to_dict(interaction), allow_nan=False),
+                after_chat,
+            )
             for interaction in interactions
         ]
         with self._lock, self._guard(), self._connection:
             self._connection.executemany(
-                "INSERT INTO interactions (video_id, payload) VALUES (?, ?)", rows
+                "INSERT INTO interactions (video_id, payload, after_chat) "
+                "VALUES (?, ?, ?)",
+                rows,
             )
             # A transactional running total keeps the append O(batch) without
             # going stale when several handles share one database file.
@@ -431,6 +463,21 @@ class SQLiteStore(StorageBackend):
                 (video_id, offset),
             ).fetchall()
         return [codecs.interaction_from_dict(json.loads(row[0])) for row in rows]
+
+    def get_interaction_stamps_since(
+        self, video_id: str, offset: int
+    ) -> list[tuple[int | None, int]]:
+        """``(after_chat, n_rows)`` runs of the rows from ``offset`` on (no payloads)."""
+        with self._lock:
+            rows = self._connection.execute(
+                "SELECT after_chat FROM interactions WHERE video_id = ? "
+                "ORDER BY rowid LIMIT -1 OFFSET ?",
+                (video_id, offset),
+            ).fetchall()
+        return [
+            (after_chat, sum(1 for _ in run))
+            for (after_chat,), run in itertools.groupby(rows)
+        ]
 
     # -------------------------------------------------------------- red dots
     def put_red_dots(self, video_id: str, dots: Iterable[RedDot]) -> None:

@@ -18,26 +18,37 @@ moving parts:
   transaction and deleted on clean close — the stored snapshots **are** the
   open-session registry;
 * :class:`~repro.platform.service.LightorWebService` checkpoints on a
-  configurable event cadence (``checkpoint_every``), when a session is
-  LRU-evicted, and — crucially — whenever the *kind* of persisted ingest
-  flips between chat and plays (see below);
+  configurable event cadence (``checkpoint_every``), at ``start_live``,
+  when a session is LRU-evicted or detached for migration, and after an
+  out-of-band interaction log on a live channel;
+* every persisted play batch is stamped with ``after_chat`` — how many chat
+  rows the channel had persisted when the batch was logged (see below);
 * :func:`recover_live_sessions` rebuilds every open session from its latest
   snapshot plus the chat and interactions persisted since it.
 
-Why the kind-flip checkpoint matters
-------------------------------------
+Why play rows carry a chat stamp
+--------------------------------
 
 A checkpoint records how many chat rows and interaction rows the store held
-when it was taken.  Recovery replays the rows past those counts — but the
-store orders rows only *within* each kind, not across kinds, so a suffix
-mixing chat and play batches could be replayed in an order the original run
-never executed (play attribution depends on the chat ingested before each
-play, so order matters for the refined highlights).  Forcing a checkpoint
-at every chat↔plays flip makes the suffix past any snapshot homogeneous in
-kind; a homogeneous suffix has exactly one replay order, so a recovered
-session is byte-identical to one that never crashed (the loadgen chaos mode
-``repro load --kill-after N --recover`` and ``tests/test_recovery.py``
-assert this end to end).
+when it was taken, and recovery replays the rows past those counts.  The
+store orders rows only *within* each kind, yet play attribution depends on
+the chat ingested before each play, so a suffix mixing chat and play
+batches must be replayed in the order the original run executed it.  The
+``after_chat`` stamp on each play batch (a committed chat count, written in
+the same transaction as the rows) is that order — the log-sequence idea of
+ARIES (Mohan et al., TODS 1992).  Recovery ingests, for each run of play
+rows stamped ``s``, the chat up to row ``s`` and then the run, and finally
+the remaining chat; the rebuilt session is byte-identical to one that never
+crashed (the loadgen chaos mode ``repro load --kill-after N --recover`` and
+``tests/test_recovery.py`` assert this end to end, including an enumerated
+play-heavy kill-point matrix).
+
+Unstamped play rows (written before the stamp existed, or imported from a
+migration bundle without stamps) replay after all remaining chat.  That order is exact for
+the rows older builds wrote: those builds forced a checkpoint at every
+chat↔plays flip, so the suffix past their snapshots is homogeneous in kind
+— and every recovery writes a fresh checkpoint, so new stamped rows never
+follow unstamped ones in a suffix.
 
 Crash-safety requires the chat to actually be in the store: live chat must
 flow through ``ingest_chat_batch(..., persist=True)`` (interactions are
@@ -131,38 +142,31 @@ def recover_session(service, video_id: str, payload: dict) -> RecoveredSession:
 
     Restores the session around the service's trained model, then replays
     only the rows the store accumulated *after* the snapshot (an O(suffix)
-    read — the full history stays on disk).  Under the service's kind-flip
-    checkpoint policy the suffix is homogeneous in kind, so the rebuilt
-    state is byte-identical to the uninterrupted run's at the same point.
+    read — the full history stays on disk), interleaving chat and plays by
+    the plays' ``after_chat`` stamps, so the rebuilt state is byte-identical
+    to the uninterrupted run's at the same point.
     """
     check_snapshot_version(video_id, payload)
     store = service.store
     session_payload = payload["session"]
     session = service.streaming.restore_session(session_payload)
-    chat_suffix = store.get_chat_since(video_id, payload["chat_persisted"])
-    play_suffix = store.get_interactions_since(
-        video_id, payload["interactions_persisted"]
-    )
-    # Replay order across kinds is chat-then-plays.  With the kind-flip
-    # policy at most one suffix is non-empty, making the choice moot; a
-    # mixed suffix (checkpointing was off) still recovers, just without
-    # the byte-equivalence guarantee.
-    if chat_suffix and play_suffix:
-        _LOGGER.info(
-            "session %s has a mixed recovery suffix (%d chat, %d plays); "
-            "replaying chat first",
-            video_id,
-            len(chat_suffix),
-            len(play_suffix),
-        )
-    if chat_suffix:
-        session.ingest_messages(chat_suffix)
-    if play_suffix:
-        session.ingest_interactions(play_suffix)
+    chat_base = payload["chat_persisted"]
+    plays_base = payload["interactions_persisted"]
+    chat_suffix = store.get_chat_since(video_id, chat_base)
+    play_suffix = store.get_interactions_since(video_id, plays_base)
+    chat_done = play_done = 0
+    for after_chat, n_rows in store.get_interaction_stamps_since(video_id, plays_base):
+        # Unstamped (legacy) plays replay after all the remaining chat.
+        upto = len(chat_suffix) if after_chat is None else after_chat - chat_base
+        if upto > chat_done:
+            session.ingest_messages(chat_suffix[chat_done:upto])
+            chat_done = upto
+        session.ingest_interactions(play_suffix[play_done : play_done + n_rows])
+        play_done += n_rows
+    if chat_done < len(chat_suffix):
+        session.ingest_messages(chat_suffix[chat_done:])
     service._note_recovered(
-        video_id,
-        payload["chat_persisted"] + len(chat_suffix),
-        payload["interactions_persisted"] + len(play_suffix),
+        video_id, chat_base + len(chat_suffix), plays_base + len(play_suffix)
     )
     report = RecoveredSession(
         video_id=video_id,

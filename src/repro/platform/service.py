@@ -28,9 +28,9 @@ the chunking, the persisted state is byte-identical
 batching buys and why.
 
 With ``checkpoint_every`` set, live sessions are also *crash-safe*: the
-service writes a durable session checkpoint on that event cadence, on LRU
-eviction, and whenever the persisted ingest kind flips between chat and
-plays (the flip rule is what makes recovery byte-exact — see
+service writes a durable session checkpoint on that event cadence and on
+LRU eviction, stamps every persisted play batch with the channel's
+persisted chat count (the stamp is what makes recovery byte-exact — see
 :mod:`repro.platform.recovery`), and
 :meth:`~LightorWebService.recover_live_sessions` rebuilds every open
 session from its latest checkpoint plus the rows persisted since it.
@@ -85,10 +85,9 @@ class LightorWebService:
         Durable-checkpoint cadence for live sessions, in persisted events.
         ``None`` (default) disables checkpointing.  When set, a session is
         checkpointed at ``start_live``, after every ``checkpoint_every``
-        persisted events, before any persisted batch whose kind (chat vs
-        plays) differs from the batches persisted since the last checkpoint,
-        and on LRU eviction — see :mod:`repro.platform.recovery` for why
-        each trigger exists.
+        persisted events, and on LRU eviction — see
+        :mod:`repro.platform.recovery` for why each trigger exists and how
+        the ``after_chat`` stamps on play rows order a mixed replay suffix.
     """
 
     store: StorageBackend
@@ -103,13 +102,12 @@ class LightorWebService:
     checkpoint_every: int | None = None
     refinement_rounds_: dict[str, int] = field(default_factory=dict, repr=False)
     _orchestrator: StreamOrchestrator | None = field(default=None, repr=False)
-    # Checkpoint bookkeeping per live channel: store row counts covered by
-    # the latest snapshot inputs, events persisted since the last snapshot,
-    # and the (single, by the flip rule) kind persisted since it.
+    # Checkpoint bookkeeping per live channel: committed store row counts
+    # (the chat count also stamps each persisted play batch) and events
+    # persisted since the last snapshot.
     _persisted_chat: dict[str, int] = field(default_factory=dict, repr=False)
     _persisted_plays: dict[str, int] = field(default_factory=dict, repr=False)
     _events_since_checkpoint: dict[str, int] = field(default_factory=dict, repr=False)
-    _suffix_kind: dict[str, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         require_positive(self.min_interactions_for_refinement, "min_interactions_for_refinement")
@@ -201,14 +199,21 @@ class LightorWebService:
         recovery replay into the session interactions it never ingested.  A
         live session gets a fresh checkpoint; an evicted-but-checkpointed
         one gets its snapshot's count patched (its session state is
-        unchanged — it never saw these rows either).
+        unchanged — it never saw these rows either).  Rows logged for a live
+        channel carry its persisted chat count as their ``after_chat`` stamp,
+        like the live plays around them.
         """
         if not self.store.has_video(video_id):
             raise ValidationError(f"interactions logged for unknown video {video_id!r}")
-        total = self.store.log_interactions(video_id, interactions)
+        live = self._orchestrator is not None and self._orchestrator.has_session(video_id)
+        total = self.store.log_interactions(
+            video_id,
+            interactions,
+            after_chat=self._persisted_chat_count(video_id) if live else None,
+        )
         if self.checkpointing:
             self._persisted_plays[video_id] = total
-            if self._orchestrator is not None and self._orchestrator.has_session(video_id):
+            if live:
                 self.checkpoint_live_session(video_id)
             else:
                 from repro.platform.recovery import SNAPSHOT_VERSION
@@ -368,8 +373,6 @@ class LightorWebService:
                 f"cannot persist chat for unknown video {video_id!r}; "
                 "store its metadata first (start_live does)"
             )
-        if persist:
-            self._checkpoint_before_persist(video_id, "chat")
         # Fold first, persist second: ingest validates batch ordering, and a
         # rejected batch must not leave rows in the store that the stream
         # never saw (that would break both the sorted-log invariant and the
@@ -377,7 +380,7 @@ class LightorWebService:
         events = session.ingest_messages(list(messages))
         if persist:
             self._persisted_chat[video_id] = self.store.append_chat(video_id, messages)
-            self._after_persisted_ingest(video_id, "chat", len(messages))
+            self._after_persisted_ingest(video_id, len(messages))
         return events
 
     def ingest_live_interactions(
@@ -408,18 +411,18 @@ class LightorWebService:
         Fold first, persist second — the same invariant as
         :meth:`ingest_chat_batch`: the session validates the batch by
         ingesting it, and a rejected batch must not leave interaction rows
-        in the store that the stream never saw.
+        in the store that the stream never saw.  The persisted rows are
+        stamped with the channel's persisted chat count, which is what lets
+        recovery replay a mixed chat/plays suffix in its original order.
         """
         session = self._require_live(video_id)
         persist = self.store.has_video(video_id)
-        if persist:
-            self._checkpoint_before_persist(video_id, "plays")
         events = session.ingest_interactions(list(interactions))
         if persist:
             self._persisted_plays[video_id] = self.store.log_interactions(
-                video_id, interactions
+                video_id, interactions, after_chat=self._persisted_chat_count(video_id)
             )
-            self._after_persisted_ingest(video_id, "plays", len(interactions))
+            self._after_persisted_ingest(video_id, len(interactions))
         return events
 
     def live_red_dots(self, video_id: str) -> list[RedDot]:
@@ -535,7 +538,6 @@ class LightorWebService:
             raise ValidationError(f"no live session for video {video_id!r}")
         payload = self._write_checkpoint(video_id, self.streaming.session(video_id))
         self._events_since_checkpoint[video_id] = 0
-        self._suffix_kind.pop(video_id, None)
         return payload
 
     def detach_channel(self, video_id: str) -> bool:
@@ -610,9 +612,7 @@ class LightorWebService:
 
         payload = build_checkpoint(
             session,
-            chat_persisted=self._persisted_count(
-                video_id, self._persisted_chat, self.store.count_chat
-            ),
+            chat_persisted=self._persisted_chat_count(video_id),
             interactions_persisted=self._persisted_count(
                 video_id, self._persisted_plays, self.store.count_interactions
             ),
@@ -627,25 +627,14 @@ class LightorWebService:
             count = cache[video_id] = counter(video_id)
         return count
 
-    def _checkpoint_before_persist(self, video_id: str, kind: str) -> None:
-        """Force a checkpoint when the persisted ingest kind flips.
+    def _persisted_chat_count(self, video_id: str) -> int:
+        """Committed chat rows of a video: checkpoint counts and play stamps."""
+        return self._persisted_count(video_id, self._persisted_chat, self.store.count_chat)
 
-        Recovery replays the rows persisted after a snapshot, and the store
-        only orders rows *within* a kind — so the suffix past any snapshot
-        must stay homogeneous for the replay to be order-exact.  Snapshotting
-        *before* the flipping batch touches the store keeps that invariant
-        at every instant, even if the process dies mid-call.
-        """
-        if not self.checkpointing:
-            return
-        if self._suffix_kind.get(video_id, kind) != kind:
-            self.checkpoint_live_session(video_id)
-
-    def _after_persisted_ingest(self, video_id: str, kind: str, n_events: int) -> None:
+    def _after_persisted_ingest(self, video_id: str, n_events: int) -> None:
         """Cadence bookkeeping after a persisted batch folded successfully."""
         if not self.checkpointing:
             return
-        self._suffix_kind[video_id] = kind
         count = self._events_since_checkpoint.get(video_id, 0) + n_events
         self._events_since_checkpoint[video_id] = count
         if count >= self.checkpoint_every:
@@ -668,7 +657,6 @@ class LightorWebService:
         self._persisted_chat[video_id] = chat_rows
         self._persisted_plays[video_id] = interaction_rows
         self._events_since_checkpoint[video_id] = 0
-        self._suffix_kind.pop(video_id, None)
         if self.checkpointing:
             self.checkpoint_live_session(video_id)
 
@@ -681,7 +669,6 @@ class LightorWebService:
         self._persisted_chat.pop(video_id, None)
         self._persisted_plays.pop(video_id, None)
         self._events_since_checkpoint.pop(video_id, None)
-        self._suffix_kind.pop(video_id, None)
 
     def _require_live(self, video_id: str):
         if not self.streaming.has_session(video_id):

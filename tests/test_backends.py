@@ -255,6 +255,56 @@ class TestBackendContract:
             )
         assert store.get_chat_since("never-seen", 0) == []
 
+    def test_interaction_stamps_cover_the_suffix_in_runs(self, store):
+        store.put_video(_video())
+        play = Interaction(1.0, InteractionKind.PLAY, "a")
+        store.log_interactions("v1", [play])
+        store.log_interactions("v1", [play, play], after_chat=2)
+        store.log_interactions("v1", [play], after_chat=2)
+        store.log_interactions("v1", [], after_chat=4)
+        store.log_interactions("v1", [play], after_chat=5)
+        # Equal adjacent stamps form one run; an empty batch adds none.
+        assert store.get_interaction_stamps_since("v1", 0) == [(None, 1), (2, 3), (5, 1)]
+        assert store.get_interaction_stamps_since("v1", 2) == [(2, 2), (5, 1)]
+        assert store.get_interaction_stamps_since("v1", 4) == [(5, 1)]
+        assert store.get_interaction_stamps_since("v1", 5) == []
+        assert store.get_interaction_stamps_since("never-seen", 0) == []
+
+    def test_migration_bundle_carries_interaction_stamps(self, store):
+        store.put_video(_video())
+        store.append_chat("v1", [ChatMessage(1.0, "a", "x")])
+        plays = [Interaction(float(t), InteractionKind.PLAY, "a") for t in range(3)]
+        store.log_interactions("v1", plays[:1], after_chat=0)
+        store.log_interactions("v1", plays[1:], after_chat=1)
+        bundle = store.export_channel("v1")
+        assert bundle["interaction_stamps"] == [[0, 1], [1, 2]]
+        for destination in (InMemoryStore(), SQLiteStore()):
+            destination.import_channel(bundle)
+            assert destination.get_interactions("v1") == plays
+            assert destination.get_interaction_stamps_since("v1", 0) == [(0, 1), (1, 2)]
+            destination.close()
+
+    def test_bundle_without_stamps_imports_unstamped(self, store):
+        source = InMemoryStore()
+        source.put_video(_video())
+        plays = [Interaction(float(t), InteractionKind.PLAY, "a") for t in range(3)]
+        source.log_interactions("v1", plays, after_chat=7)
+        bundle = source.export_channel("v1")
+        del bundle["interaction_stamps"]  # what a build without stamps exports
+        store.import_channel(bundle)
+        assert store.get_interactions("v1") == plays
+        assert store.get_interaction_stamps_since("v1", 0) == [(None, 3)]
+
+    def test_bundle_stamps_must_cover_the_interactions(self, store):
+        source = InMemoryStore()
+        source.put_video(_video())
+        source.log_interactions("v1", [Interaction(1.0, InteractionKind.PLAY, "a")])
+        bundle = source.export_channel("v1")
+        bundle["interaction_stamps"] = [[0, 2]]
+        with pytest.raises(ValidationError, match="do not cover"):
+            store.import_channel(bundle)
+        assert not store.has_video("v1")  # rejected before any row is written
+
     # ----------------------------------------------------- session snapshots
     def test_session_snapshot_roundtrip_and_replace(self, store):
         store.put_video(_video())

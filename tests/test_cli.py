@@ -195,6 +195,18 @@ class TestLoadCommand:
         assert "killed after 15" in out
         assert "byte-identical" in out
 
+    def test_chaos_mode_refuses_a_previous_runs_shard_files(self, capsys, tmp_path):
+        (tmp_path / "chaos.shard0.db").write_bytes(b"")
+        argv = [
+            "load", "--smoke", "--backend", "sqlite",
+            "--db-path", str(tmp_path / "chaos.db"),
+            "--kill-after", "20", "--recover", "--checkpoint-every", "64",
+        ]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "kill/recover run failed" in out
+        assert "chaos.shard0.db" in out
+
 
 class TestTraceAndScenarioCLI:
     SMALL = [

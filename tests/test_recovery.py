@@ -8,11 +8,15 @@ Four layers, matching the subsystem's own structure:
    restored object must behave identically from that point on (continuation
    equality: same events, same finalized dots).
 2. **Service checkpointing** — the snapshot registry semantics (written at
-   ``start_live``, replaced on cadence and kind flips, kept on eviction,
-   deleted on clean close).
+   ``start_live``, replaced on cadence, kept on eviction, deleted on clean
+   close) and the ``after_chat`` stamps on persisted play batches that
+   order a mixed chat/plays recovery suffix without a checkpoint per flip.
 3. **Crash recovery** — kill a SQLite-backed service mid-stream, rebuild it
    in a fresh service, finish the run, and require byte-identical final red
-   dots and highlight records to an uninterrupted run.
+   dots and highlight records to an uninterrupted run: at enumerated kill
+   points of a play-heavy fleet (the replay-order oracle), across the
+   storage-format upgrade from unstamped v2 files, and after a stamped
+   channel migrates between tiers.
 4. **Service-tier correctness fixes** that rode along with the hardening:
    cache-hit ``k`` handling, fold-first/persist-second store purity on both
    backends, the unregistered-video persist error, and JSON-safe zero-
@@ -22,19 +26,22 @@ Four layers, matching the subsystem's own structure:
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import ChatMessage, Interaction, InteractionKind, RedDot, Video
-from repro.loadgen import WorkloadSpec, run_kill_recover
+from repro.loadgen import LoadGenerator, LoadWorkload, WorkloadSpec, run_kill_recover
 from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
 from repro.platform.api import SimulatedStreamingAPI
 from repro.platform.backends import InMemoryStore, SQLiteStore
+from repro.platform.backends.sqlite import _SCHEMA as SQLITE_SCHEMA
 from repro.platform.crawler import ChatCrawler
 from repro.platform.recovery import SNAPSHOT_VERSION
 from repro.platform.service import LightorWebService
+from repro.platform.sharding import ShardedLightorService
 from repro.streaming import (
     IncrementalWindowState,
     StreamSession,
@@ -248,30 +255,41 @@ class TestServiceCheckpointing:
         service.end_live(video_id, labelled_video.video.duration)
         assert service.store.get_session_snapshots() == {}
 
-    def test_kind_flip_checkpoints_before_the_flipping_batch(
-        self, fitted_initializer, labelled_video
+    def test_plays_are_stamped_not_checkpointed(
+        self, fitted_initializer, labelled_video, fix_store
     ):
-        # Cadence far above the traffic: only start_live and the flip rule
-        # may write snapshots, so the flip is observable in isolation.
-        service = _service(InMemoryStore(), fitted_initializer, checkpoint_every=10_000)
+        # Cadence far above the traffic: only start_live may write a
+        # snapshot, so a flip-triggered one would be observable.
+        service = _service(fix_store, fitted_initializer, checkpoint_every=10_000)
         video_id = labelled_video.video.video_id
         service.start_live(labelled_video.video)
         service.ingest_chat_batch(
             video_id, list(labelled_video.chat_log.messages[:120]), persist=True
         )
-        # Still the start_live snapshot: nothing was persisted before it.
-        assert service.store.get_session_snapshots()[video_id]["chat_persisted"] == 0
-
         service.ingest_plays_batch(
-            video_id, [Interaction(50.0, InteractionKind.PLAY, "viewer_0")]
+            video_id,
+            [
+                Interaction(50.0, InteractionKind.PLAY, "viewer_0"),
+                Interaction(80.0, InteractionKind.PAUSE, "viewer_0"),
+            ],
         )
-        flipped = service.store.get_session_snapshots()[video_id]
-        # The flip checkpoint covers all persisted chat but none of the plays
-        # (it is written before the flipping batch touches the store), so the
-        # suffix past it stays homogeneous.
-        assert flipped["chat_persisted"] == 120
-        assert flipped["interactions_persisted"] == 0
-        assert flipped["session"]["interactions_ingested"] == 0
+        # Still the start_live snapshot: the flip wrote no checkpoint …
+        snapshot = service.store.get_session_snapshots()[video_id]
+        assert snapshot["chat_persisted"] == 0
+        assert snapshot["interactions_persisted"] == 0
+        # … because the play rows carry their position in the chat log.
+        assert service.store.get_interaction_stamps_since(video_id, 0) == [(120, 2)]
+        service.ingest_chat_batch(
+            video_id, list(labelled_video.chat_log.messages[120:150]), persist=True
+        )
+        service.ingest_plays_batch(
+            video_id, [Interaction(90.0, InteractionKind.PLAY, "viewer_1")]
+        )
+        assert service.store.get_interaction_stamps_since(video_id, 1) == [
+            (120, 1),
+            (150, 1),
+        ]
+        assert service.store.get_session_snapshots()[video_id] == snapshot
 
     def test_shutdown_is_a_clean_close(self, fitted_initializer, labelled_video):
         service = _service(InMemoryStore(), fitted_initializer, checkpoint_every=50)
@@ -391,7 +409,8 @@ class TestServiceCheckpointing:
 
 
 class TestCrashRecovery:
-    def _drive(self, service, video, messages, start, upto):
+    @staticmethod
+    def _drive(service, video, messages, start, upto):
         """Chat in persisted batches of 40, a play burst every 200 messages."""
         index = start
         while index < upto:
@@ -409,7 +428,8 @@ class TestCrashRecovery:
                     ],
                 )
 
-    def _end_state(self, service, video):
+    @staticmethod
+    def _end_state(service, video):
         dots = service.end_live(video.video_id, video.duration)
         store = service.store
         return (
@@ -472,6 +492,205 @@ class TestCrashRecovery:
             # whole workload is simply re-driven.
             assert report.sessions_recovered == 0
             assert report.events_redriven == report.total_events
+
+
+# The play-heavy fleet of ``repro load --channels 3 --viewers 900 --duration
+# 1800 --batch-size 16`` (411 batches): enough plays per channel for the
+# extractor to refine mid-run, so a replay that orders chat against plays
+# differently from the original run changes the persisted highlights.
+# Replaying a mixed suffix chat-first (ignoring the after_chat stamps)
+# diverges at every kill point of TestReplayOrder.
+PLAY_HEAVY = WorkloadSpec(channels=3, viewers=900, duration=1800.0, batch_size=16)
+
+
+def _tier(initializer, backend="sqlite", db_path=None, checkpoint_every=100_000):
+    return ShardedLightorService.create(
+        1,
+        initializer,
+        backend=backend,
+        db_path=db_path,
+        max_live_sessions=PLAY_HEAVY.channels,
+        checkpoint_every=checkpoint_every,
+    )
+
+
+def _drive_batches(service, workload, batches, live):
+    plans = {plan.video.video_id: plan for plan in workload.plans}
+    for batch in batches:
+        if batch.video_id not in live:
+            service.start_live(plans[batch.video_id].video)
+            live.add(batch.video_id)
+        if batch.kind == "chat":
+            service.ingest_chat_batch(batch.video_id, list(batch.events), persist=True)
+        else:
+            service.ingest_plays_batch(batch.video_id, list(batch.events))
+
+
+def _crash(service):
+    for shard in service.shards:
+        shard.store.close()
+
+
+def _fingerprints(service, workload):
+    fingerprints = {}
+    for plan in sorted(workload.plans, key=lambda p: p.video.video_id):
+        video_id = plan.video.video_id
+        dots = service.end_live(video_id, plan.duration)
+        fingerprints[video_id] = LoadGenerator._fingerprint(service, video_id, dots)
+    service.close()
+    return fingerprints
+
+
+class TestReplayOrder:
+    @pytest.mark.parametrize("kill_after", [40, 80, 120, 200, 300])
+    def test_play_heavy_kill_points_replay_in_original_order(
+        self, fitted_initializer, tmp_path, kill_after
+    ):
+        # No cadence checkpoint fires: each session recovers from its
+        # start_live snapshot plus a long mixed chat/plays suffix.
+        report = run_kill_recover(
+            PLAY_HEAVY,
+            fitted_initializer,
+            db_path=tmp_path / "heavy.db",
+            shards=2,
+            kill_after=kill_after,
+            checkpoint_every=100_000,
+        )
+        assert report.ok, f"divergent channels: {report.divergences}"
+        assert report.chat_replayed > 0 and report.plays_replayed > 0
+
+    def test_stamped_channel_survives_migration_then_crash(
+        self, fitted_initializer, tmp_path
+    ):
+        workload = LoadWorkload.from_spec(PLAY_HEAVY)
+        batches = workload.batches()
+        kill_at = 120
+
+        # A source tier crashes with mixed suffixes past every snapshot …
+        source = _tier(fitted_initializer, db_path=tmp_path / "source.db")
+        live: set[str] = set()
+        _drive_batches(source, workload, batches[:kill_at], live)
+        _crash(source)
+        # … and a fresh tier over its files migrates every channel out.
+        source = _tier(fitted_initializer, db_path=tmp_path / "source.db")
+        target = _tier(fitted_initializer, db_path=tmp_path / "target.db")
+        for video_id in sorted(live):
+            moved = source.migrate_out(video_id)
+            stamps = moved["bundle"]["interaction_stamps"]
+            assert len(stamps) > 1 and all(stamp is not None for stamp, _ in stamps)
+            target.import_channel(moved["bundle"], was_live=moved["was_live"])
+            source.forget_channel(video_id)
+            assert target.store_for(video_id).get_interaction_stamps_since(
+                video_id, 0
+            ) == [tuple(run) for run in stamps]
+        source.close()
+        _crash(target)
+
+        target = _tier(fitted_initializer, db_path=tmp_path / "target.db")
+        recovered = target.recover_live_sessions()
+        assert {report.video_id for report in recovered} == live
+        assert sum(report.chat_replayed for report in recovered) > 0
+        assert sum(report.plays_replayed for report in recovered) > 0
+        _drive_batches(target, workload, batches[kill_at:], live)
+
+        oracle = _tier(fitted_initializer, backend="memory", checkpoint_every=None)
+        _drive_batches(oracle, workload, batches, set())
+        assert _fingerprints(target, workload) == _fingerprints(oracle, workload)
+
+    def test_stale_shard_files_are_refused(self, fitted_initializer, tmp_path):
+        stale = tmp_path / "chaos.shard1.db"
+        stale.write_bytes(b"")
+        with pytest.raises(ValidationError, match="chaos.shard1.db"):
+            run_kill_recover(
+                PLAY_HEAVY,
+                fitted_initializer,
+                db_path=tmp_path / "chaos.db",
+                shards=2,
+                kill_after=1,
+            )
+
+
+# The v2 ``interactions`` table: the format before the after_chat stamp.
+_V2_INTERACTIONS_DDL = """
+CREATE TABLE interactions (
+    rowid    INTEGER PRIMARY KEY AUTOINCREMENT,
+    video_id TEXT NOT NULL,
+    payload  TEXT NOT NULL
+);
+"""
+
+
+class TestStorageFormatUpgrade:
+    def test_v2_database_gains_the_stamp_column_and_recovers(
+        self, fitted_initializer, labelled_video, tmp_path
+    ):
+        video = labelled_video.video
+        messages = list(labelled_video.chat_log.messages)
+        drive = TestCrashRecovery._drive
+        # A run as a v2 build leaves it: plays in the prefix, and a suffix
+        # past the last checkpoint that is homogeneous in kind (chat only).
+        service = _service(SQLiteStore(tmp_path / "v3.db"), fitted_initializer, 10_000)
+        service.start_live(video)
+        drive(service, video, messages, 0, 600)
+        service.checkpoint_live_session(video.video_id)
+        drive(service, video, messages, 600, 760)
+        service.store.close()  # crash
+
+        # Rebuild that file with the v2 interactions DDL (no stamp column);
+        # every other table is unchanged since v2.
+        legacy = tmp_path / "v2.db"
+        connection = sqlite3.connect(legacy)
+        connection.executescript(_V2_INTERACTIONS_DDL)
+        connection.executescript(SQLITE_SCHEMA)
+        connection.execute("ATTACH DATABASE ? AS v3", (str(tmp_path / "v3.db"),))
+        tables = [
+            row[0]
+            for row in connection.execute(
+                "SELECT name FROM v3.sqlite_master WHERE type = 'table' "
+                "AND name NOT LIKE 'sqlite_%'"
+            )
+        ]
+        for table in tables:
+            if table == "interactions":
+                connection.execute(
+                    "INSERT INTO interactions (rowid, video_id, payload) "
+                    "SELECT rowid, video_id, payload FROM v3.interactions"
+                )
+            else:
+                connection.execute(f"INSERT INTO {table} SELECT * FROM v3.{table}")
+        connection.execute(
+            "UPDATE meta SET value = '2' WHERE key = ?", (SQLiteStore.STORAGE_FORMAT_KEY,)
+        )
+        connection.commit()
+        connection.close()
+
+        store = SQLiteStore(legacy)
+        reader = sqlite3.connect(legacy)
+        columns = {row[1] for row in reader.execute("PRAGMA table_info(interactions)")}
+        reader.close()
+        assert "after_chat" in columns
+        assert store.get_meta(SQLiteStore.STORAGE_FORMAT_KEY) == "3"
+        assert store.get_interaction_stamps_since(video.video_id, 0) == [(None, 6)]
+
+        survivor = _service(store, fitted_initializer, 10_000)
+        recovered = survivor.recover_live_sessions()
+        assert recovered[0].messages_ingested == 760
+        assert recovered[0].chat_replayed == 160 and recovered[0].plays_replayed == 0
+        drive(survivor, video, messages, 760, len(messages))
+        upgraded = TestCrashRecovery._end_state(survivor, video)
+        survivor.shutdown()
+
+        reference = _service(InMemoryStore(), fitted_initializer)
+        reference.start_live(video)
+        drive(reference, video, messages, 0, len(messages))
+        assert TestCrashRecovery._end_state(reference, video) == upgraded
+
+    def test_newer_build_file_is_refused(self, tmp_path):
+        store = SQLiteStore(tmp_path / "future.db")
+        store.set_meta(SQLiteStore.STORAGE_FORMAT_KEY, "4")
+        store.close()
+        with pytest.raises(ValidationError, match="storage format v4"):
+            SQLiteStore(tmp_path / "future.db")
 
 
 # ---------------------------------------------------------------------------
