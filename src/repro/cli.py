@@ -26,7 +26,7 @@ Sub-commands:
   rewritten so the deployment reopens at the new count.  ``lightor load
   --reshard-at N --reshard-to M`` is the *online* twin: the tier grows or
   shrinks mid-run while unmoved channels keep serving.
-* ``lightor serve`` — serve the sharded tier over HTTP: a stdlib asyncio
+* ``lightor serve`` — serve the sharded tier over HTTP: a stdlib threaded
   JSON gateway exposing the full service surface with per-request
   validation, bounded admission control and a graceful SIGTERM drain that
   checkpoints every open live session (``lightor recover`` resumes a
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="serve the sharded tier over an asyncio HTTP/1.1 JSON gateway",
+        help="serve the sharded tier over a threaded HTTP/1.1 JSON gateway",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--worker-threads", type=int, default=8,
-        help="threads executing service calls behind the event loop (default: 8)",
+        help="service calls that may run at once (default: 8)",
     )
     serve_parser.add_argument(
         "--max-pending-per-channel", type=int, default=None,
@@ -842,9 +842,9 @@ def _command_reshard(args) -> int:
 
 
 def _command_serve(args) -> int:
-    import asyncio
     import signal
     import sqlite3
+    import threading
 
     from repro import LightorConfig
     from repro.core.initializer.initializer import HighlightInitializer
@@ -911,40 +911,32 @@ def _command_serve(args) -> int:
         shard_index=args.shard_index,
     )
 
-    async def _serve() -> None:
-        try:
-            await gateway.start()
-        except OSError as error:
-            raise SystemExit(f"cannot bind {args.host}:{args.port}: {error}")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-posix loops
-                pass
-        # Machine-readable readiness line, printed after the bind (so a
-        # --port 0 ephemeral port is resolved) and before anything else: the
-        # cluster supervisor and scripted callers parse exactly this.
-        print(f"listening on {gateway.host}:{gateway.port}", flush=True)
-        print(
-            f"serving {args.shards} shard(s) on {gateway.address} "
-            f"({args.backend} backend; SIGTERM drains gracefully)",
-            flush=True,
-        )
-        await stop.wait()
-        print("drain requested; finishing in-flight requests ...", flush=True)
-        await gateway.drain()
-
     try:
-        asyncio.run(_serve())
-    except SystemExit as error:
-        print(str(error), flush=True)
+        gateway.start()
+    except OSError as error:
+        print(f"cannot bind {args.host}:{args.port}: {error}", flush=True)
         return 1
-    except KeyboardInterrupt:
-        # Signal handlers normally catch Ctrl-C inside the loop; this is the
-        # fallback for loops without signal support.
-        pass
+    stop = threading.Event()
+    handlers = {
+        signum: signal.signal(signum, lambda *_: stop.set())
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    # Machine-readable readiness line, printed after the bind (so a --port 0
+    # ephemeral port is resolved) and before anything else: the cluster
+    # supervisor and scripted callers parse exactly this.
+    print(f"listening on {gateway.host}:{gateway.port}", flush=True)
+    print(
+        f"serving {args.shards} shard(s) on {gateway.address} "
+        f"({args.backend} backend; SIGTERM drains gracefully)",
+        flush=True,
+    )
+    try:
+        stop.wait()
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    print("drain requested; finishing in-flight requests ...", flush=True)
+    gateway.drain()
 
     if durable:
         # Checkpoint-and-release: the sessions stay recoverable, so the

@@ -37,10 +37,10 @@ paper's Figure 5, layered for scale (see ``docs/architecture.md``):
   with its own backend, crawler and streaming orchestrator, under
   per-shard locks; supports live channel migration and online resharding.
 * :mod:`server <repro.platform.server>` — the network boundary: a
-  stdlib-only ``asyncio`` HTTP/1.1 JSON gateway exposing the full sharded
-  front-door surface, with per-request validation (400), bounded-queue
-  admission control (503) and graceful drain that checkpoints open live
-  sessions for byte-exact recovery.
+  stdlib-only, thread-per-connection HTTP/1.1 JSON gateway exposing the
+  full sharded front-door surface, with per-request validation (400),
+  bounded-queue admission control (503) and graceful drain that
+  checkpoints open live sessions for byte-exact recovery.
 * :mod:`client <repro.platform.client>` — the thin blocking HTTP client
   mirroring the service surface method for method, so in-process callers
   (the load harness above all) can be pointed at a gateway by swapping the

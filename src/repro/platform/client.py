@@ -16,16 +16,18 @@ a ``503`` becomes :class:`GatewayOverloadedError` (retry later; the gateway
 is applying backpressure or draining), anything else
 :class:`GatewayError`.
 
-Built on stdlib :mod:`http.client` with one kept-alive connection per
-client instance; instances are **not** thread-safe — give each worker
-thread its own client, exactly like each worker owns its own latency
-recorder in the load harness.
+Each client keeps one ``TCP_NODELAY`` connection alive, sends every
+request as one write of head plus body and reads the gateway's
+``Content-Length``-framed answers itself.  Instances are **not**
+thread-safe — give each worker thread its own client, exactly like each
+worker owns its own latency recorder in the load harness.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
+import struct
 from typing import Sequence
 from urllib.parse import quote
 
@@ -100,14 +102,23 @@ class LightorClient:
         self.port = port
         self.timeout = timeout
         self.wire_codec = wire_codec
-        self._connection: http.client.HTTPConnection | None = None
+        self._connection: socket.socket | None = None
 
     # -------------------------------------------------------------- transport
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self) -> socket.socket:
         if self._connection is None:
-            self._connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
+            self._connection = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
             )
+            # A blocking socket whose timeout the kernel enforces: a socket
+            # timeout set in Python polls before every send and receive, one
+            # more interpreter-lock handoff each.  Expiry raises EAGAIN.
+            self._connection.settimeout(None)
+            seconds, fraction = divmod(self.timeout, 1)
+            timeval = struct.pack("ll", int(seconds), int(fraction * 1_000_000))
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                self._connection.setsockopt(socket.SOL_SOCKET, option, timeval)
+            self._connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return self._connection
 
     def _drop_connection(self) -> None:
@@ -120,6 +131,37 @@ class LightorClient:
                 connection.close()
             except OSError:
                 pass
+
+    def _read_response(self, connection: socket.socket) -> tuple[int, str, bytes]:
+        """``(status, content type, body)`` of the answer to the request just sent."""
+        data = bytearray()
+
+        def receive() -> None:
+            chunk = connection.recv(65536)
+            if not chunk:
+                raise ConnectionError("the gateway closed the connection")
+            data.extend(chunk)
+
+        while (end := data.find(b"\r\n\r\n")) < 0:
+            if len(data) > 65536:
+                raise ConnectionError("response head over 64 KiB")
+            receive()
+        try:
+            status_line, *lines = data[:end].decode("latin-1").split("\r\n")
+            status = int(status_line.split(None, 2)[1])
+            headers = {
+                name.strip().lower(): value.strip()
+                for name, _, value in (line.partition(":") for line in lines)
+            }
+            length = int(headers.get("content-length", 0))
+        except (IndexError, ValueError):
+            raise ConnectionError(f"malformed response head: {bytes(data[:80])!r}") from None
+        while len(data) < end + 4 + length:
+            receive()
+        if headers.get("connection", "").lower() == "close":
+            self._drop_connection()
+        body = bytes(data[end + 4 : end + 4 + length])
+        return status, headers.get("content-type", "").lower(), body
 
     @staticmethod
     def _decode_response(data: bytes, content_type: str) -> dict | str:
@@ -137,15 +179,15 @@ class LightorClient:
 
     def _request(self, method: str, path: str, payload: dict | None = None):
         if self.wire_codec == "binary":
-            body = None if payload is None else wire.encode_frame(payload)
-            headers = {"Accept": wire.WIRE_CONTENT_TYPE}
-            if body is not None:
-                headers["Content-Type"] = wire.WIRE_CONTENT_TYPE
+            media = wire.WIRE_CONTENT_TYPE
+            body = b"" if payload is None else wire.encode_frame(payload)
         else:
-            body = None if payload is None else json.dumps(payload, allow_nan=False).encode("utf-8")
-            headers = {"Accept": "application/json"}
-            if body is not None:
-                headers["Content-Type"] = "application/json"
+            media = "application/json"
+            body = b"" if payload is None else json.dumps(payload, allow_nan=False).encode("utf-8")
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\nAccept: {media}\r\n"
+        if payload is not None:
+            head += f"Content-Type: {media}\r\n"
+        request = f"{head}Content-Length: {len(body)}\r\n\r\n".encode("latin-1") + body
         # One retry on a stale kept-alive connection (the server side may
         # have closed it between calls) — but only for GETs: a POST whose
         # response was lost may already have *executed* on the far side
@@ -154,25 +196,22 @@ class LightorClient:
         # Non-idempotent failures propagate for the caller to decide.
         retries = (0, 1) if method == "GET" else (1,)
         for attempt in retries:
-            connection = self._connect()
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                data = response.read()
+                connection = self._connect()
+                connection.sendall(request)
+                status, content_type, data = self._read_response(connection)
                 break
-            except TimeoutError as error:
-                # TimeoutError is an OSError subclass — catch it first.  A
+            except (TimeoutError, BlockingIOError) as error:
+                # Both are OSError subclasses — catch them first.  A
                 # timed-out request may be executing slowly on the far side,
                 # so it is never retried (even a GET: the point is to bound
                 # the caller's wait, not to double it).
                 self._drop_connection()
                 raise GatewayTimeoutError(self.host, self.port, self.timeout) from error
-            except (http.client.HTTPException, ConnectionError, OSError):
+            except OSError:
                 self._drop_connection()
                 if attempt:
                     raise
-        status = response.status
-        content_type = (response.getheader("Content-Type") or "").lower()
         decoded = self._decode_response(data, content_type)
         if status == 200:
             return decoded

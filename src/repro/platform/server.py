@@ -1,12 +1,15 @@
-"""Asyncio HTTP/1.1 JSON gateway in front of the sharded service tier.
+"""Thread-per-connection HTTP/1.1 JSON gateway in front of the sharded service tier.
 
 Until this module the LIGHTOR service tier could only be called in-process;
 :class:`LightorGateway` puts a real network boundary in front of a
 :class:`~repro.platform.sharding.ShardedLightorService` using nothing but
-the standard library: an ``asyncio`` server speaks enough HTTP/1.1
-(keep-alive, ``Content-Length`` bodies) to serve JSON requests, and every
-service call runs on a bounded worker-thread pool so the event loop never
-blocks on a shard lock.
+the standard library: blocking sockets speak enough HTTP/1.1 (keep-alive,
+``Content-Length`` bodies) to serve JSON requests.  An accept thread hands
+each connection to a thread of its own, which reads a request, admits it,
+runs the service call inline and writes the response — so a call costs
+two thread handoffs (client → connection thread → client), not a round
+trip through an event loop and a worker pool.  The shards serialize
+per-channel work under their own locks.
 
 Design points:
 
@@ -24,7 +27,12 @@ Design points:
   bounded in-flight budget (``max_pending``): past it the gateway answers
   ``503`` immediately instead of queueing unboundedly — backpressure the
   caller can see.  ``/healthz`` and ``/metrics`` bypass admission so the
-  gateway stays observable while saturated.
+  gateway stays observable while saturated.  Admitted calls run at most
+  ``worker_threads`` at a time, and open connections are capped at
+  ``max_pending + worker_threads``: a connection past the cap is answered
+  ``503`` and closed, so connection threads stay bounded too.
+* **Bounded request heads.**  The request line and headers together may
+  take 64 KiB; a longer head is answered ``431`` and the connection closed.
 * **Negotiated wire codec.**  Request bodies are decoded by their
   ``Content-Type`` and responses encoded by the request's ``Accept``:
   ``application/json`` (the default — old clients keep working unchanged)
@@ -44,20 +52,22 @@ Design points:
   byte-exactly via ``repro recover`` (see
   :mod:`repro.platform.recovery` and ``docs/serving.md``).
 
-:class:`GatewayThread` runs the gateway on a background thread's event
-loop — what the wire-mode load harness (``repro load --transport http``)
-and the test suite use to serve and drive from one process.
+:class:`GatewayThread` serves a gateway from background threads of the
+calling process — what the wire-mode load harness (``repro load
+--transport http``) and the test suite use to serve and drive from one
+process.
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
 import json
+import socket
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from http import HTTPStatus
+from typing import BinaryIO, Callable
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.platform import codecs, wire
@@ -72,16 +82,48 @@ _LOGGER = get_logger("platform.server")
 # One chat batch of a few hundred codec-encoded messages is ~100 KiB; cap
 # request bodies far above that so only a runaway client is refused.
 _MAX_BODY_BYTES = 16 * 1024 * 1024
+# The request line plus every header line; past it the answer is a 431.
+_MAX_HEAD_BYTES = 64 * 1024
+# Channels named on lightor_gateway_channel_rejected_total; refusals of any
+# further channel count under channel="other", so the series stay bounded.
+_NAMED_REJECTED_CHANNELS = 16
+# How long an error close keeps reading what the client still sends.
+_LINGER_SECONDS = 1.0
 
-_STATUS_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
+
+# Path shape -> method -> (route name, handler); "{id}" stands for the
+# channel in the path.  The first entry of a shape names its 405s.
+_ROUTES: dict[tuple[str, ...], dict[str, tuple[str, str]]] = {
+    ("healthz",): {"GET": ("healthz", "_noop")},
+    ("metrics",): {"GET": ("metrics", "_noop")},
+    ("placement",): {
+        "GET": ("placement", "_h_get_placement"),
+        "POST": ("placement_install", "_h_put_placement"),
+    },
+    ("admin", "channels"): {"GET": ("admin_channels", "_h_admin_channels")},
+    ("admin", "migrate-out"): {"POST": ("admin_migrate_out", "_h_admin_migrate_out")},
+    ("admin", "migrate-in"): {"POST": ("admin_migrate_in", "_h_admin_migrate_in")},
+    ("admin", "forget-channel"): {"POST": ("admin_forget_channel", "_h_admin_forget_channel")},
+    # Answered outside admission (see _respond): the fence waits for
+    # admitted calls and must not be one itself.
+    ("admin", "fence"): {"POST": ("admin_fence", "_noop")},
+    ("videos",): {"POST": ("register", "_h_register")},
+    ("videos", "{id}", "red-dots"): {"GET": ("red_dots", "_h_red_dots")},
+    ("videos", "{id}", "interactions"): {
+        "POST": ("interactions", "_h_interactions"),
+        "GET": ("interactions_read", "_h_get_interactions"),
+    },
+    ("videos", "{id}", "refine"): {"POST": ("refine", "_h_refine")},
+    ("videos", "{id}", "stored-dots"): {"GET": ("stored_dots", "_h_stored_dots")},
+    ("videos", "{id}", "highlights"): {"GET": ("highlights", "_h_highlight_history")},
+    ("videos", "{id}", "latest-highlights"): {
+        "GET": ("latest_highlights", "_h_latest_highlights")
+    },
+    ("live", "{id}", "start"): {"POST": ("live_start", "_h_start_live")},
+    ("live", "{id}", "chat"): {"POST": ("live_chat", "_h_chat")},
+    ("live", "{id}", "plays"): {"POST": ("live_plays", "_h_plays")},
+    ("live", "{id}", "dots"): {"GET": ("live_dots", "_h_live_dots")},
+    ("live", "{id}", "end"): {"POST": ("live_end", "_h_end_live")},
 }
 
 
@@ -114,7 +156,7 @@ class LightorGateway:
         rewrites :attr:`port` with the bound one.
     max_pending:
         Admission budget: requests in flight (admitted but not yet
-        answered) beyond this are refused with ``503`` instead of queued.
+        executed) beyond this are refused with ``503`` instead of queued.
     max_pending_per_channel:
         Optional per-channel admission budget.  The global budget alone
         lets one hot channel occupy every slot and starve the tail; with
@@ -124,9 +166,8 @@ class LightorGateway:
         budget stays available to other channels.  ``None`` (the default)
         keeps the previous single-budget behaviour.
     worker_threads:
-        Threads executing service calls.  The shards serialize per-channel
-        work under their own locks; the pool just keeps the event loop off
-        that path.
+        Admitted service calls that may run at once; an admitted request
+        past it waits for a slot on its connection thread.
     wire_codec:
         Response codec for requests that express **no** preference (no
         ``Accept`` header, or ``*/*``).  An explicit ``Accept`` always
@@ -175,37 +216,37 @@ class LightorGateway:
         self.shard_index = shard_index
         # The cluster placement pushed over POST /placement, plus the worker
         # addresses that came with it (what GET /placement hands to a front
-        # door rebuilding its client list).  Installed and read from the
-        # worker pool *and* the event loop, hence the dedicated lock; the
-        # PlacementMap itself is internally locked, so holding _placement_lock
-        # only covers the reference swap and the address list.
+        # door rebuilding its client list).  The PlacementMap itself is
+        # internally locked, so holding _placement_lock only covers the
+        # reference swap and the address list.
         self._placement_lock = threading.Lock()
         self._placement: PlacementMap | None = None  # guarded-by: _placement_lock
         self._placement_addresses: list[tuple[str, int]] = []  # guarded-by: _placement_lock
-        self._pool = ThreadPoolExecutor(
-            max_workers=worker_threads, thread_name_prefix="lightor-gateway"
-        )
-        self._server: asyncio.AbstractServer | None = None
-        self._fence_lock: asyncio.Lock | None = None  # guarded-by: event-loop
-        # Every counter below is loop-confined: mutated only between
-        # awaits on the event-loop thread, which is what makes the
-        # admission check-then-increment in _respond race-free.  The
-        # worker pool must never touch them — _execute returns values
-        # and the coroutine does the counting.
-        self._handlers: set[asyncio.Task] = set()  # guarded-by: event-loop
-        self._in_flight = 0  # guarded-by: event-loop
-        self._draining = False  # guarded-by: event-loop
-        self._started_at: float | None = None  # guarded-by: event-loop
-        self._requests: Counter = Counter()  # guarded-by: event-loop
-        self._responses: Counter = Counter()  # guarded-by: event-loop
-        self._events_ingested: Counter = Counter()  # guarded-by: event-loop
-        self._content_types: Counter = Counter()  # guarded-by: event-loop
-        self._rejected = 0  # guarded-by: event-loop
-        self._wrong_shard = 0  # guarded-by: event-loop
-        self._channel_in_flight: Counter = Counter()  # guarded-by: event-loop
-        self._channel_rejected: Counter = Counter()  # guarded-by: event-loop
-        self._bytes_in = 0  # guarded-by: event-loop
-        self._bytes_out = 0  # guarded-by: event-loop
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        self._started_at: float | None = None
+        self._slots = threading.BoundedSemaphore(worker_threads)
+        # Connection threads share everything below: admission's
+        # check-then-increment and every counter run under this one
+        # condition, which drain() and the fence also wait on.
+        self._cond = threading.Condition()
+        self._connections: dict[socket.socket, threading.Thread] = {}  # guarded-by: _cond
+        # Admission tickets: _admitted is the next one handed out, _running
+        # holds those whose service call has not returned yet.
+        self._admitted = 0  # guarded-by: _cond
+        self._running: set[int] = set()  # guarded-by: _cond
+        self._draining = False  # guarded-by: _cond
+        self._requests: Counter = Counter()  # guarded-by: _cond
+        self._responses: Counter = Counter()  # guarded-by: _cond
+        self._events_ingested: Counter = Counter()  # guarded-by: _cond
+        self._content_types: Counter = Counter()  # guarded-by: _cond
+        self._rejected = 0  # guarded-by: _cond
+        self._wrong_shard = 0  # guarded-by: _cond
+        self._channel_in_flight: Counter = Counter()  # guarded-by: _cond
+        self._channel_rejected: Counter = Counter()  # guarded-by: _cond
+        self._other_rejected = 0  # guarded-by: _cond
+        self._bytes_in = 0  # guarded-by: _cond
+        self._bytes_out = 0  # guarded-by: _cond
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -213,21 +254,20 @@ class LightorGateway:
         """The served base URL."""
         return f"http://{self.host}:{self.port}"
 
-    async def start(self) -> None:
+    def start(self) -> None:
         """Bind and start accepting connections (resolves ``port=0``)."""
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener = socket.create_server((self.host, self.port), backlog=128)
+        self.port = self._listener.getsockname()[1]
         self._started_at = time.monotonic()
+        self._accept_thread = threading.Thread(
+            target=self._accept, args=(self._listener,), name="lightor-gateway-accept",
+            daemon=True,
+        )
+        self._accept_thread.start()
         _LOGGER.info("gateway listening on %s", self.address)
 
-    async def serve_forever(self) -> None:
-        """Serve until the surrounding task is cancelled."""
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
-    async def drain(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, release the pool.
+    def drain(self) -> None:
+        """Graceful drain: stop accepting, finish in-flight, close connections.
 
         After this returns, no request is executing and none will be
         admitted (late requests on kept-alive connections get ``503``).
@@ -237,80 +277,135 @@ class LightorGateway:
         (checkpoint, recoverable), the load harness with ``close()``
         (finalize).
         """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        while self._in_flight > 0:
-            await asyncio.sleep(0.005)
-        for task in list(self._handlers):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
-        self._pool.shutdown(wait=True)
+        self._stop_accepting()
+        with self._cond:
+            self._cond.wait_for(lambda: not self._running)
+        # Half-close for reading only: a thread still writing its answer
+        # finishes it, then reads end-of-stream and exits.
+        self._close_connections(socket.SHUT_RD)
 
-    async def abort(self) -> None:
+    def abort(self) -> None:
         """Hard stop — the simulated ``kill -9``: cut every connection now.
 
-        In-flight work is cancelled, nothing is checkpointed and nothing is
-        closed; tests use this to model a crashed server whose durable state
-        must carry recovery by itself.
+        Nothing is checkpointed and nothing is closed; tests use this to
+        model a crashed server whose durable state must carry recovery by
+        itself.  A service call already running finishes, but its answer
+        is never delivered.
         """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._handlers):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._stop_accepting()
+        self._close_connections(socket.SHUT_RDWR)
+
+    def _stop_accepting(self) -> None:
+        with self._cond:
+            self._draining = True
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        try:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        except OSError:
+            pass  # a platform that refuses this wakes accept() on close
+        listener.close()
+        self._accept_thread.join(timeout=10)
+
+    def _close_connections(self, how: int) -> None:
+        with self._cond:
+            connections = list(self._connections.items())
+        for conn, thread in connections:
+            try:
+                conn.shutdown(how)
+            except OSError:
+                pass  # its thread closed it already
+            thread.join(timeout=10)
 
     # ---------------------------------------------------------- HTTP plumbing
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
+    def _accept(self, listener: socket.socket) -> None:
+        """Hand each accepted connection to a thread of its own."""
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                with self._cond:
+                    if self._draining:
+                        return
+                _LOGGER.exception("accept failed")
+                continue
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve, args=(conn,), name="lightor-gateway-conn", daemon=True
+            )
+            with self._cond:
+                refused = len(self._connections) >= self.max_pending + self.worker_threads
+                if refused:
+                    self._rejected += 1
+                else:
+                    self._connections[conn] = thread
+            if refused:
+                self._refuse(conn, 503, "gateway has too many open connections", linger=0.0)
+            else:
+                thread.start()
+
+    def _refuse(self, conn: socket.socket, status: int, message: str, linger: float) -> None:
+        """Answer an error and close the connection without losing the answer.
+
+        Closing with unread input makes the kernel reset the connection,
+        which can destroy the answer before the client reads it; so stop
+        writing, drop what the client still sends for up to ``linger``
+        seconds, then close.
+        """
+        deadline = time.monotonic() + linger
+        try:
+            self._reply(conn, "unknown", status, {"error": message}, "json", keep_alive=False)
+            conn.shutdown(socket.SHUT_WR)
+            while True:
+                conn.settimeout(max(0.0, deadline - time.monotonic()))
+                if not conn.recv(65536):
+                    break
+        except OSError:
+            pass  # timed out, would block, or the client is gone: done either way
+        finally:
+            conn.close()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """A connection's thread: read a request, answer it, repeat."""
+        reader = conn.makefile("rb")
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = self._read_request(reader)
                 except _ProtocolError as error:
-                    await self._write_json(
-                        writer, error.status, {"error": str(error)}, keep_alive=False
-                    )
+                    self._refuse(conn, error.status, str(error), _LINGER_SECONDS)
                     break
-                if request is None:
+                if request is None or not self._respond(conn, *request):
                     break
-                if not await self._respond(writer, *request):
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            pass  # drain/abort tears the connection down; nothing to salvage
+        except OSError:
+            pass  # the client went away, or drain()/abort() cut the connection
         finally:
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            reader.close()
+            conn.close()
+            with self._cond:
+                del self._connections[conn]
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """One parsed request, or ``None`` on a cleanly closed connection."""
-        line = await reader.readline()
+    @staticmethod
+    def _read_request(reader: BinaryIO) -> tuple[str, str, dict[str, str], bytes] | None:
+        """One parsed request, or ``None`` on a closed connection."""
+        budget = _MAX_HEAD_BYTES
+        line = reader.readline(budget + 1)
         if not line:
             return None
+        budget -= len(line)
+        if budget < 0:
+            raise _ProtocolError(431, f"request head over {_MAX_HEAD_BYTES} bytes")
         try:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
             raise _ProtocolError(400, "malformed HTTP request line") from None
         headers: dict[str, str] = {}
         while True:
-            header = await reader.readline()
+            header = reader.readline(budget + 1)
+            budget -= len(header)
+            if budget < 0:
+                raise _ProtocolError(431, f"request head over {_MAX_HEAD_BYTES} bytes")
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -324,28 +419,28 @@ class LightorGateway:
             raise _ProtocolError(400, f"invalid Content-Length {raw_length!r}")
         if length > _MAX_BODY_BYTES:
             raise _ProtocolError(413, f"request body over {_MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
+        body = reader.read(length) if length else b""
+        if len(body) < length:
+            return None  # the client hung up mid-body
         return method.upper(), target, headers, body
 
-    async def _respond(
-        self, writer: asyncio.StreamWriter, method: str, target: str, headers: dict, body: bytes
+    def _respond(
+        self, conn: socket.socket, method: str, target: str, headers: dict, body: bytes
     ) -> bool:
         """Dispatch one request and write its response; returns keep-alive."""
         keep_alive = headers.get("connection", "").lower() != "close"
         split = urlsplit(target)
-        query = parse_qs(split.query)
-        route, handler = self._resolve(method, unquote(split.path))
-        self._requests[route] += 1
+        path = unquote(split.path)
+        route, handler = self._resolve(method, path)
         content_type = (
             (headers.get("content-type") or "").split(";")[0].strip().lower() or "none"
         )
-        self._content_types[content_type] += 1
-        self._bytes_in += len(body)
-        codec = self._response_codec(headers)
-
+        with self._cond:
+            self._requests[route] += 1
+            self._content_types[content_type] += 1
+            self._bytes_in += len(body)
+        payload: dict | str
         if handler is None:
-            status: int
-            payload: dict
             status, payload = (
                 (404, {"error": f"no such endpoint: {split.path}"})
                 if route == "unknown"
@@ -353,85 +448,89 @@ class LightorGateway:
             )
         elif route == "healthz":
             status, payload = 200, self._health_payload()
-        elif route == "admin_fence":
-            await self._drain_pool()
-            status, payload = 200, {"drained": True}
         elif route == "metrics":
-            self._responses["200"] += 1
-            await self._write_text(writer, 200, self._metrics_text(), keep_alive=keep_alive)
-            return keep_alive
-        elif self._draining:
-            status, payload = 503, {"error": "gateway is draining"}
-            keep_alive = False
-        elif (conflict := self._wrong_shard_payload(unquote(split.path))) is not None:
-            # Answered before admission: a 409 is the redirect signal of the
-            # placement protocol, and a front door must be able to learn it
-            # even while this worker's budget is saturated.
-            self._wrong_shard += 1
-            status, payload = 409, conflict
-        elif self._in_flight >= self.max_pending:
-            self._rejected += 1
-            status, payload = 503, {
-                "error": f"gateway overloaded ({self._in_flight} requests in flight)"
-            }
-        elif (
-            self.max_pending_per_channel is not None
-            and (channel := self._channel_of(unquote(split.path))) is not None
-            and self._channel_in_flight[channel] >= self.max_pending_per_channel
-        ):
-            # Per-channel fairness: the hot channel is refused while the
-            # rest of the global budget stays available to the tail.
-            self._rejected += 1
-            self._channel_rejected[channel] += 1
-            status, payload = 503, {
-                "error": (
-                    f"channel {channel} overloaded "
-                    f"({self._channel_in_flight[channel]} requests in flight)"
-                )
-            }
+            status, payload = 200, self._metrics_text()
+        elif route == "admin_fence":
+            self._fence()
+            status, payload = 200, {"drained": True}
         else:
-            # The check and the increment both run on the event-loop thread
-            # with no await between them, so admission cannot race.  The
-            # count is held until the *response is written*: drain() waits
-            # for in-flight to reach zero before cancelling handler tasks,
-            # and a request that executed but never answered would break
-            # the "in-flight requests finish" drain guarantee.
-            channel = (
-                self._channel_of(unquote(split.path))
-                if self.max_pending_per_channel is not None
-                else None
+            status, payload, keep = self._call(
+                route, handler, path, parse_qs(split.query), body, content_type
             )
-            self._in_flight += 1
+            keep_alive = keep_alive and keep
+        self._reply(conn, route, status, payload, self._response_codec(headers), keep_alive)
+        return keep_alive
+
+    def _call(
+        self,
+        route: str,
+        handler: Callable[[dict, dict], dict],
+        path: str,
+        query: dict,
+        body: bytes,
+        content_type: str,
+    ) -> tuple[int, dict, bool]:
+        """Admit one service call and run it on this thread.
+
+        Returns ``(status, payload, keep_alive)``; only a draining gateway
+        closes the connection.
+        """
+        channel = self._channel_of(path) if self.max_pending_per_channel is not None else None
+        conflict = self._wrong_shard_payload(path)
+        with self._cond:
+            if self._draining:
+                return 503, {"error": "gateway is draining"}, False
+            if conflict is not None:
+                # Answered before admission: a 409 is the redirect signal of
+                # the placement protocol, and a front door must be able to
+                # learn it even while this worker's budget is saturated.
+                return 409, conflict, True
+            if len(self._running) >= self.max_pending:
+                self._rejected += 1
+                return 503, {
+                    "error": f"gateway overloaded ({len(self._running)} requests in flight)"
+                }, True
+            if (
+                channel is not None
+                and self._channel_in_flight[channel] >= self.max_pending_per_channel
+            ):
+                # Per-channel fairness: the hot channel is refused while the
+                # rest of the global budget stays available to the tail.
+                self._rejected += 1
+                if (
+                    channel in self._channel_rejected
+                    or len(self._channel_rejected) < _NAMED_REJECTED_CHANNELS
+                ):
+                    self._channel_rejected[channel] += 1
+                else:
+                    self._other_rejected += 1
+                return 503, {
+                    "error": (
+                        f"channel {channel} overloaded "
+                        f"({self._channel_in_flight[channel]} requests in flight)"
+                    )
+                }, True
+            ticket = self._admitted
+            self._admitted += 1
+            self._running.add(ticket)
             if channel is not None:
                 self._channel_in_flight[channel] += 1
-            try:
-                status, payload = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self._execute, handler, body, content_type, query,
-                    unquote(split.path),
-                )
-                if status == 409:
-                    # Counted here, on the loop: a request admitted before the
-                    # placement push can still lose its channel to a migration
-                    # mid-execution — _execute remaps that failure to 409.
-                    self._wrong_shard += 1
-                if status == 200:
-                    ingested = payload.get("ingested")
-                    if isinstance(ingested, int):
-                        self._events_ingested[route] += ingested
-                self._responses[str(status)] += 1
-                await self._write_payload(writer, status, payload, codec, keep_alive=keep_alive)
-            finally:
-                self._in_flight -= 1
+        try:
+            with self._slots:
+                status, payload = self._execute(handler, body, content_type, query, path)
+        finally:
+            # Released before the answer is written, so a client that has
+            # its answer never finds its own slot still taken.
+            with self._cond:
+                self._running.discard(ticket)
                 if channel is not None:
                     self._channel_in_flight[channel] -= 1
                     if self._channel_in_flight[channel] <= 0:
                         # Keep the counter sparse: a long-running gateway
                         # must not accumulate a key per channel ever seen.
                         del self._channel_in_flight[channel]
-            return keep_alive
-        self._responses[str(status)] += 1
-        await self._write_payload(writer, status, payload, codec, keep_alive=keep_alive)
-        return keep_alive
+                self._cond.notify_all()
+        return status, payload, True
 
     def _response_codec(self, headers: dict) -> str:
         """The response codec the request's ``Accept`` header asks for.
@@ -472,7 +571,7 @@ class LightorGateway:
         query: dict,
         path: str = "",
     ) -> tuple[int, dict]:
-        """Run one service call on the worker pool, mapping errors to statuses."""
+        """Run one service call, mapping errors to statuses."""
         try:
             decoded = self._decode_body(body, content_type)
         except wire.CodecTooLargeError as error:
@@ -509,54 +608,41 @@ class LightorGateway:
             _LOGGER.exception("request handler failed")
             return 500, {"error": f"internal error: {error}"}
 
-    async def _write_payload(
+    def _reply(
         self,
-        writer: asyncio.StreamWriter,
+        conn: socket.socket,
+        route: str,
         status: int,
-        payload: dict,
+        payload: dict | str,
         codec: str,
-        *,
         keep_alive: bool,
     ) -> None:
-        """Write a response payload in the negotiated codec."""
-        if codec == "binary":
-            body = wire.encode_frame(payload)
-            await self._write_raw(writer, status, wire.WIRE_CONTENT_TYPE, body, keep_alive)
-            return
-        await self._write_json(writer, status, payload, keep_alive=keep_alive)
-
-    async def _write_json(
-        self, writer: asyncio.StreamWriter, status: int, payload: dict, *, keep_alive: bool
-    ) -> None:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        await self._write_raw(writer, status, "application/json", body, keep_alive)
-
-    async def _write_text(
-        self, writer: asyncio.StreamWriter, status: int, text: str, *, keep_alive: bool
-    ) -> None:
-        await self._write_raw(
-            writer, status, "text/plain; charset=utf-8", text.encode("utf-8"), keep_alive
-        )
-
-    async def _write_raw(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        content_type: str,
-        body: bytes,
-        keep_alive: bool,
-    ) -> None:
-        reason = _STATUS_REASONS.get(status, "Unknown")
+        """Encode and count one response, then write head and body in one send."""
+        if isinstance(payload, str):
+            content_type, body = "text/plain; charset=utf-8", payload.encode("utf-8")
+        elif codec == "binary":
+            content_type, body = wire.WIRE_CONTENT_TYPE, wire.encode_frame(payload)
+        else:
+            content_type = "application/json"
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        ingested = payload.get("ingested") if status == 200 and isinstance(payload, dict) else None
+        with self._cond:
+            self._responses[str(status)] += 1
+            self._bytes_out += len(body)
+            if status == 409:
+                # Admission and _execute both answer 409 only for a channel
+                # this shard must not serve.
+                self._wrong_shard += 1
+            if isinstance(ingested, int):
+                self._events_ingested[route] += ingested
         head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
             "\r\n"
         )
-        self._bytes_out += len(body)
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+        conn.sendall(head.encode("latin-1") + body)
 
     # ----------------------------------------------------------------- routing
     def _resolve(
@@ -565,104 +651,20 @@ class LightorGateway:
         """Map (method, path) to a (route name, handler) pair.
 
         Unknown paths resolve to ``("unknown", None)`` (404); known paths
-        with the wrong method to ``(route, None)`` (405).
+        with the wrong method to ``(route, None)`` (405).  A channel
+        route's handler comes bound to the channel named in the path.
         """
         parts = [part for part in path.split("/") if part]
-        if parts == ["healthz"]:
-            return "healthz", self._noop if method == "GET" else None
-        if parts == ["metrics"]:
-            return "metrics", self._noop if method == "GET" else None
-        if parts == ["placement"]:
-            if method == "GET":
-                return "placement", self._h_get_placement
-            if method == "POST":
-                return "placement_install", self._h_put_placement
-            return "placement", None
-        if len(parts) == 2 and parts[0] == "admin":
-            leaf = parts[1]
-            if leaf == "channels":
-                return "admin_channels", self._h_admin_channels if method == "GET" else None
-            if leaf == "migrate-out":
-                return (
-                    "admin_migrate_out",
-                    self._h_admin_migrate_out if method == "POST" else None,
-                )
-            if leaf == "migrate-in":
-                return (
-                    "admin_migrate_in",
-                    self._h_admin_migrate_in if method == "POST" else None,
-                )
-            if leaf == "forget-channel":
-                return (
-                    "admin_forget_channel",
-                    self._h_admin_forget_channel if method == "POST" else None,
-                )
-            if leaf == "fence":
-                # Loop-handled (see _respond): the fence must not occupy a
-                # pool thread while it waits for the pool to drain.
-                return "admin_fence", self._noop if method == "POST" else None
-        if parts == ["videos"]:
-            return "register", self._h_register if method == "POST" else None
-        if len(parts) == 3 and parts[0] == "videos":
-            video_id, leaf = parts[1], parts[2]
-            if leaf == "red-dots":
-                if method != "GET":
-                    return "red_dots", None
-                return "red_dots", lambda body, query: self._h_red_dots(video_id, query)
-            if leaf == "interactions":
-                if method == "POST":
-                    return (
-                        "interactions",
-                        lambda body, query: self._h_interactions(video_id, body),
-                    )
-                if method == "GET":
-                    return (
-                        "interactions_read",
-                        lambda body, query: self._h_get_interactions(video_id),
-                    )
-                return "interactions", None
-            if leaf == "refine":
-                if method != "POST":
-                    return "refine", None
-                return "refine", lambda body, query: self._h_refine(video_id)
-            if leaf == "stored-dots":
-                if method != "GET":
-                    return "stored_dots", None
-                return "stored_dots", lambda body, query: self._h_stored_dots(video_id)
-            if leaf == "highlights":
-                if method != "GET":
-                    return "highlights", None
-                return "highlights", lambda body, query: self._h_highlight_history(video_id)
-            if leaf == "latest-highlights":
-                if method != "GET":
-                    return "latest_highlights", None
-                return (
-                    "latest_highlights",
-                    lambda body, query: self._h_latest_highlights(video_id),
-                )
-        if len(parts) == 3 and parts[0] == "live":
-            video_id, leaf = parts[1], parts[2]
-            if leaf == "start":
-                if method != "POST":
-                    return "live_start", None
-                return "live_start", lambda body, query: self._h_start_live(video_id, body)
-            if leaf == "chat":
-                if method != "POST":
-                    return "live_chat", None
-                return "live_chat", lambda body, query: self._h_chat(video_id, body)
-            if leaf == "plays":
-                if method != "POST":
-                    return "live_plays", None
-                return "live_plays", lambda body, query: self._h_plays(video_id, body)
-            if leaf == "dots":
-                if method != "GET":
-                    return "live_dots", None
-                return "live_dots", lambda body, query: self._h_live_dots(video_id)
-            if leaf == "end":
-                if method != "POST":
-                    return "live_end", None
-                return "live_end", lambda body, query: self._h_end_live(video_id, body)
-        return "unknown", None
+        channel = self._channel_of(path)
+        shape = tuple(parts) if channel is None else (parts[0], "{id}", parts[2])
+        methods = _ROUTES.get(shape)
+        if methods is None:
+            return "unknown", None
+        if method not in methods:
+            return next(iter(methods.values()))[0], None
+        route, name = methods[method]
+        handler = getattr(self, name)
+        return route, handler if channel is None else functools.partial(handler, channel)
 
     @staticmethod
     def _channel_of(path: str) -> str | None:
@@ -681,33 +683,19 @@ class LightorGateway:
     def _noop(body: dict, query: dict) -> dict:  # pragma: no cover - never executed
         return {}
 
-    async def _drain_pool(self) -> None:
-        """Wait until every request enqueued to the worker pool so far finished.
+    def _fence(self) -> None:
+        """Wait until every request admitted so far has finished executing.
 
-        ``POST /admin/fence``, the reshard census barrier.  The pool runs one
-        FIFO queue over ``worker_threads`` threads, so the moment a barrier
-        task occupies every thread simultaneously, every request enqueued
-        before the fence has completed.  A supervisor that (1) pushes a
-        frozen placement — 409ing any later channel request at admission —
-        then (2) fences, then (3) lists channels is therefore guaranteed a
+        ``POST /admin/fence``, the reshard census barrier.  A supervisor that
+        (1) pushes a frozen placement — 409ing any later channel request at
+        admission, and at execution any request admitted just before — then
+        (2) fences, then (3) lists channels is therefore guaranteed a
         complete census: no creation admitted under the old map can still be
         in flight, and none can start afterwards.
         """
-        if self._fence_lock is None:
-            # Created lazily so it binds to the serving loop; _drain_pool
-            # only ever runs there.  Two interleaved fences would split
-            # their barrier tasks across the same threads and deadlock,
-            # so fences are strictly serialized.
-            self._fence_lock = asyncio.Lock()
-        async with self._fence_lock:
-            barrier = threading.Barrier(self.worker_threads)
-            loop = asyncio.get_running_loop()
-            await asyncio.gather(
-                *(
-                    loop.run_in_executor(self._pool, barrier.wait)
-                    for _ in range(self.worker_threads)
-                )
-            )
+        with self._cond:
+            fence = self._admitted
+            self._cond.wait_for(lambda: all(ticket >= fence for ticket in self._running))
 
     # ----------------------------------------------------------- placement
     def _installed_placement(self) -> PlacementMap | None:
@@ -836,38 +824,38 @@ class LightorGateway:
         self.service.register_video(video)
         return {"registered": video.video_id}
 
-    def _h_red_dots(self, video_id: str, query: dict) -> dict:
+    def _h_red_dots(self, video_id: str, body: dict, query: dict) -> dict:
         k = self._query_int(query, "k")
         dots = self.service.request_red_dots(video_id, k=k)
         return {"red_dots": [codecs.red_dot_to_dict(dot) for dot in dots]}
 
-    def _h_interactions(self, video_id: str, body: dict) -> dict:
+    def _h_interactions(self, video_id: str, body: dict, query: dict) -> dict:
         interactions = [
             codecs.interaction_from_dict(item) for item in _require_list(body, "interactions")
         ]
         total = self.service.log_interactions(video_id, interactions)
         return {"total": total, "ingested": len(interactions)}
 
-    def _h_refine(self, video_id: str) -> dict:
+    def _h_refine(self, video_id: str, body: dict, query: dict) -> dict:
         return {"updated": self.service.refine_video(video_id)}
 
-    def _h_stored_dots(self, video_id: str) -> dict:
+    def _h_stored_dots(self, video_id: str, body: dict, query: dict) -> dict:
         dots = self.service.get_red_dots(video_id)
         return {"red_dots": [codecs.red_dot_to_dict(dot) for dot in dots]}
 
-    def _h_highlight_history(self, video_id: str) -> dict:
+    def _h_highlight_history(self, video_id: str, body: dict, query: dict) -> dict:
         records = self.service.highlight_history(video_id)
         return {"highlights": [codecs.highlight_record_to_dict(r) for r in records]}
 
-    def _h_latest_highlights(self, video_id: str) -> dict:
+    def _h_latest_highlights(self, video_id: str, body: dict, query: dict) -> dict:
         highlights = self.service.latest_highlights(video_id)
         return {"highlights": [codecs.highlight_to_dict(h) for h in highlights]}
 
-    def _h_get_interactions(self, video_id: str) -> dict:
+    def _h_get_interactions(self, video_id: str, body: dict, query: dict) -> dict:
         interactions = self.service.get_interactions(video_id)
         return {"interactions": [codecs.interaction_to_dict(i) for i in interactions]}
 
-    def _h_start_live(self, video_id: str, body: dict) -> dict:
+    def _h_start_live(self, video_id: str, body: dict, query: dict) -> dict:
         video = codecs.video_from_dict(body)
         if video.video_id != video_id:
             raise ValidationError(
@@ -877,7 +865,7 @@ class LightorGateway:
         self.service.start_live(video)
         return {"live": video_id}
 
-    def _h_chat(self, video_id: str, body: dict) -> dict:
+    def _h_chat(self, video_id: str, body: dict, query: dict) -> dict:
         messages = [
             codecs.chat_message_from_dict(item) for item in _require_list(body, "messages")
         ]
@@ -890,7 +878,7 @@ class LightorGateway:
             "ingested": len(messages),
         }
 
-    def _h_plays(self, video_id: str, body: dict) -> dict:
+    def _h_plays(self, video_id: str, body: dict, query: dict) -> dict:
         interactions = [
             codecs.interaction_from_dict(item) for item in _require_list(body, "interactions")
         ]
@@ -900,11 +888,11 @@ class LightorGateway:
             "ingested": len(interactions),
         }
 
-    def _h_live_dots(self, video_id: str) -> dict:
+    def _h_live_dots(self, video_id: str, body: dict, query: dict) -> dict:
         dots = self.service.live_red_dots(video_id)
         return {"red_dots": [codecs.red_dot_to_dict(dot) for dot in dots]}
 
-    def _h_end_live(self, video_id: str, body: dict) -> dict:
+    def _h_end_live(self, video_id: str, body: dict, query: dict) -> dict:
         duration = body.get("duration")
         if duration is not None and not isinstance(duration, (int, float)):
             raise ValidationError("duration must be a JSON number or null")
@@ -923,46 +911,55 @@ class LightorGateway:
                 f"query parameter {name}={values[-1]!r} is not an integer"
             ) from None
 
-    # ------------------------------------------------------------ observability
-    def _health_payload(self) -> dict:  # runs-on: event-loop
-        return {
-            "status": "draining" if self._draining else "ok",
-            "shards": getattr(self.service, "n_shards", 1),
-            "in_flight": self._in_flight,
-            "max_pending": self.max_pending,
-            "max_pending_per_channel": self.max_pending_per_channel,
-            "channels_in_flight": len(self._channel_in_flight),
-            "placement_epoch": self._placement_epoch(),
-            "shard_index": self.shard_index,
-        }
 
-    def _metrics_text(self) -> str:  # runs-on: event-loop
+    # ------------------------------------------------------------ observability
+    def _health_payload(self) -> dict:
+        epoch = self._placement_epoch()
+        with self._cond:
+            return {
+                "status": "draining" if self._draining else "ok",
+                "shards": getattr(self.service, "n_shards", 1),
+                "in_flight": len(self._running),
+                "max_pending": self.max_pending,
+                "max_pending_per_channel": self.max_pending_per_channel,
+                "channels_in_flight": len(self._channel_in_flight),
+                "placement_epoch": epoch,
+                "shard_index": self.shard_index,
+            }
+
+    def _metrics_text(self) -> str:
         """Prometheus-style exposition of the gateway counters."""
         uptime = 0.0 if self._started_at is None else time.monotonic() - self._started_at
-        lines = [
-            f"lightor_gateway_uptime_seconds {uptime:.3f}",
-            f"lightor_gateway_in_flight {self._in_flight}",
-            f"lightor_gateway_draining {int(self._draining)}",
-            f"lightor_gateway_rejected_total {self._rejected}",
-            f"lightor_gateway_max_pending_per_channel "
-            f"{self.max_pending_per_channel or 0}",
-            f"lightor_gateway_shards {getattr(self.service, 'n_shards', 1)}",
-            f"lightor_gateway_placement_epoch {self._placement_epoch()}",
-            f"lightor_gateway_wrong_shard_total {self._wrong_shard}",
-            f"lightor_gateway_bytes_in_total {self._bytes_in}",
-            f"lightor_gateway_bytes_out_total {self._bytes_out}",
-        ]
-        for route, count in sorted(self._requests.items()):
-            lines.append(f'lightor_gateway_requests_total{{route="{route}"}} {count}')
-        for ctype, count in sorted(self._content_types.items()):
-            lines.append(
-                f'lightor_gateway_requests_by_content_type_total{{content_type="{ctype}"}} {count}'
-            )
-        for status, count in sorted(self._responses.items()):
-            lines.append(f'lightor_gateway_responses_total{{status="{status}"}} {count}')
-        for route, count in sorted(self._events_ingested.items()):
-            lines.append(f'lightor_gateway_events_ingested_total{{route="{route}"}} {count}')
-        for channel, count in sorted(self._channel_rejected.items()):
+        epoch = self._placement_epoch()
+        with self._cond:
+            lines = [
+                f"lightor_gateway_uptime_seconds {uptime:.3f}",
+                f"lightor_gateway_in_flight {len(self._running)}",
+                f"lightor_gateway_draining {int(self._draining)}",
+                f"lightor_gateway_rejected_total {self._rejected}",
+                f"lightor_gateway_max_pending_per_channel "
+                f"{self.max_pending_per_channel or 0}",
+                f"lightor_gateway_shards {getattr(self.service, 'n_shards', 1)}",
+                f"lightor_gateway_placement_epoch {epoch}",
+                f"lightor_gateway_wrong_shard_total {self._wrong_shard}",
+                f"lightor_gateway_bytes_in_total {self._bytes_in}",
+                f"lightor_gateway_bytes_out_total {self._bytes_out}",
+            ]
+            for route, count in sorted(self._requests.items()):
+                lines.append(f'lightor_gateway_requests_total{{route="{route}"}} {count}')
+            for ctype, count in sorted(self._content_types.items()):
+                lines.append(
+                    "lightor_gateway_requests_by_content_type_total"
+                    f'{{content_type="{ctype}"}} {count}'
+                )
+            for status, count in sorted(self._responses.items()):
+                lines.append(f'lightor_gateway_responses_total{{status="{status}"}} {count}')
+            for route, count in sorted(self._events_ingested.items()):
+                lines.append(f'lightor_gateway_events_ingested_total{{route="{route}"}} {count}')
+            rejected = sorted(self._channel_rejected.items())
+            if self._other_rejected:
+                rejected.append(("other", self._other_rejected))
+        for channel, count in rejected:
             lines.append(
                 f'lightor_gateway_channel_rejected_total{{channel="{channel}"}} {count}'
             )
@@ -970,32 +967,21 @@ class LightorGateway:
 
 
 class GatewayThread:
-    """Run a :class:`LightorGateway` on a background thread's event loop.
+    """Serve a :class:`LightorGateway` from background threads of this process.
 
     The wire-mode load harness and the tests need to serve and drive from a
-    single process; this wrapper owns the loop-on-a-thread plumbing.  The
-    served *service*'s storage lifecycle stays with the caller: ``stop()``
-    only drains the HTTP side — follow it with ``service.close()``
-    (finalize) or ``service.suspend()`` (checkpoint for recovery).
+    single process.  The served *service*'s storage lifecycle stays with the
+    caller: ``stop()`` only drains the HTTP side — follow it with
+    ``service.close()`` (finalize) or ``service.suspend()`` (checkpoint for
+    recovery).
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0, **gateway_kwargs) -> None:
         self.gateway = LightorGateway(service, host=host, port=port, **gateway_kwargs)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
 
     def start(self) -> tuple[str, int]:
-        """Boot the loop, bind the gateway; returns the bound (host, port)."""
-        self._thread = threading.Thread(
-            target=self._run, name="lightor-gateway-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("gateway event loop did not come up within 30s")
-        if self._startup_error is not None:
-            raise self._startup_error
+        """Bind the gateway and start serving; returns the bound (host, port)."""
+        self.gateway.start()
         return self.gateway.host, self.gateway.port
 
     @property
@@ -1008,31 +994,13 @@ class GatewayThread:
         """The gateway's port — the *bound* one once :meth:`start` returned."""
         return self.gateway.port
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            try:
-                loop.run_until_complete(self.gateway.start())
-            except BaseException as error:  # noqa: BLE001 - surfaced by start()
-                self._startup_error = error
-                return
-            finally:
-                self._ready.set()
-            loop.run_forever()
-        finally:
-            loop.close()
-
     def stop(self, drain: bool = True) -> None:
         """Stop serving.  ``drain=True`` finishes in-flight work first;
         ``drain=False`` is the hard kill (:meth:`LightorGateway.abort`)."""
-        if self._thread is None or self._loop is None or not self._thread.is_alive():
-            return
-        closer = self.gateway.drain() if drain else self.gateway.abort()
-        asyncio.run_coroutine_threadsafe(closer, self._loop).result(timeout=60)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
+        if drain:
+            self.gateway.drain()
+        else:
+            self.gateway.abort()
 
     def __enter__(self) -> "GatewayThread":
         self.start()

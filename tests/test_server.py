@@ -1,4 +1,4 @@
-"""Tests for the asyncio HTTP gateway and its client.
+"""Tests for the threaded HTTP gateway and its client.
 
 Four properties matter:
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import http.client
 import socket
+import sys
 import threading
 import time
 
@@ -33,7 +34,12 @@ from repro.platform.client import (
     GatewayTimeoutError,
     LightorClient,
 )
-from repro.platform.server import GatewayThread, LightorGateway
+from repro.platform.server import (
+    _MAX_HEAD_BYTES,
+    _NAMED_REJECTED_CHANNELS,
+    GatewayThread,
+    LightorGateway,
+)
 from repro.platform.sharding import ShardedLightorService, shard_db_path
 from repro.utils.validation import ValidationError
 
@@ -510,6 +516,270 @@ class TestClientTimeout:
         finally:
             client.close()
             listener.close()
+
+
+def _exchange(host, port, request: bytes) -> bytes:
+    """Send all of ``request``, then read the answer until the server closes.
+
+    This is how curl and most clients behave: they read nothing until the
+    request is sent, so a server that stops reading and resets the
+    connection makes the send fail before the answer is seen.
+    """
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRequestHeadCap:
+    """A request head past 64 KiB gets a 431 and a closed connection."""
+
+    def test_one_oversized_header_line_is_a_431(self, served):
+        client, _ = served
+        request = (
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (_MAX_HEAD_BYTES + 10) + b"\r\n\r\n"
+        )
+        answer = _exchange(client.host, client.port, request)
+        assert answer.startswith(b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+        assert b"Connection: close" in answer
+        assert client.healthz()["status"] == "ok"  # the gateway is unharmed
+
+    def test_a_flood_of_short_header_lines_is_a_431(self, served):
+        client, _ = served
+        request = b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 200_000 + b"\r\n"
+        answer = _exchange(client.host, client.port, request)
+        assert answer.startswith(b"HTTP/1.1 431 ")
+        assert 'lightor_gateway_responses_total{status="431"} 1' in client.metrics()
+
+    def test_a_head_just_under_the_cap_is_served(self, served):
+        client, _ = served
+        start = b"GET /healthz HTTP/1.1\r\nX-Big: "
+        end = b"\r\nConnection: close\r\n\r\n"
+        filler = b"a" * (_MAX_HEAD_BYTES - len(start) - len(end))
+        answer = _exchange(client.host, client.port, start + filler + end)
+        assert answer.startswith(b"HTTP/1.1 200 ")
+
+
+class _OneShotStub:
+    """A raw-socket server that answers one request per connection, then
+    closes it, whatever its ``Connection`` header promised."""
+
+    def __init__(self, connection_header: str = "keep-alive") -> None:
+        self.connection_header = connection_header
+        self.requests = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.host, self.port = self.listener.getsockname()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rb") as reader:
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                reader.read(length)
+                self.requests += 1
+                body = b'{"status": "ok"}'
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n".encode()
+                    + f"Connection: {self.connection_header}\r\n\r\n".encode()
+                    + body
+                )
+
+    def close(self) -> None:
+        try:
+            self.listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.listener.close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+
+
+class TestClientReplayRules:
+    """What the client does when a kept-alive connection went stale."""
+
+    def test_a_get_is_retried_once_on_a_fresh_connection(self):
+        stub = _OneShotStub()
+        client = LightorClient(stub.host, stub.port, timeout=5)
+        try:
+            assert client.healthz() == {"status": "ok"}
+            # The stub closed that connection: the GET fails on it, then
+            # succeeds on a new one.
+            assert client.healthz() == {"status": "ok"}
+            assert stub.requests == 2
+        finally:
+            client.close()
+            stub.close()
+
+    def test_a_post_on_a_stale_connection_is_never_resent(self):
+        stub = _OneShotStub()
+        client = LightorClient(stub.host, stub.port, timeout=5)
+        try:
+            assert client.healthz() == {"status": "ok"}
+            with pytest.raises(ConnectionError):
+                client.refine_video("v")
+            assert client._connection is None  # dropped, not reused
+            time.sleep(0.2)  # room for a resend to arrive, were there one
+            assert stub.requests == 1
+        finally:
+            client.close()
+            stub.close()
+
+    def test_a_connection_close_answer_drops_the_connection(self):
+        stub = _OneShotStub(connection_header="close")
+        client = LightorClient(stub.host, stub.port, timeout=5)
+        try:
+            assert client.healthz() == {"status": "ok"}
+            assert client._connection is None
+            assert client.healthz() == {"status": "ok"}
+            assert stub.requests == 2
+        finally:
+            client.close()
+            stub.close()
+
+
+def _gateway_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("lightor-gateway")}
+
+
+class TestThreadedLifecycle:
+    @pytest.mark.parametrize("drain", [True, False], ids=["drain", "abort"])
+    def test_stop_leaves_no_thread_and_closes_the_port(self, drain):
+        before = _gateway_threads()
+        gateway = GatewayThread(_BlockingService())
+        host, port = gateway.start()
+        idle = [LightorClient(host, port) for _ in range(3)]
+        for client in idle:
+            assert client.healthz()["status"] == "ok"  # kept alive, now idle
+        assert len(_gateway_threads() - before) == 4  # accept + one per connection
+        gateway.stop(drain=drain)
+        assert not (_gateway_threads() - before)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, port), timeout=5).close()
+        for client in idle:
+            client.close()
+
+    def test_a_connection_past_the_ceiling_gets_a_503(self):
+        gateway = GatewayThread(_BlockingService(), max_pending=1, worker_threads=1)
+        host, port = gateway.start()
+        held = [LightorClient(host, port) for _ in range(2)]
+        extra = LightorClient(host, port)
+        try:
+            for client in held:  # max_pending + worker_threads connections
+                assert client.healthz()["status"] == "ok"
+            with pytest.raises(GatewayOverloadedError) as excinfo:
+                extra.healthz()
+            assert excinfo.value.status == 503
+            assert "too many open connections" in str(excinfo.value)
+            assert extra._connection is None
+            assert held[0].healthz()["status"] == "ok"
+        finally:
+            for client in held + [extra]:
+                client.close()
+            gateway.stop()
+
+    def test_fence_waits_for_an_admitted_request(self):
+        service = _BlockingService()
+        gateway = GatewayThread(service, worker_threads=2)
+        host, port = gateway.start()
+        blocked = LightorClient(host, port)
+        fencer = LightorClient(host, port)
+        fenced = threading.Event()
+        try:
+            worker = threading.Thread(
+                target=blocked.live_red_dots, args=("v",), daemon=True
+            )
+            worker.start()
+            assert service.entered.wait(timeout=30)
+            fence = threading.Thread(
+                target=lambda: fencer.fence() and fenced.set(), daemon=True
+            )
+            fence.start()
+            # The admitted request is still executing: the fence must wait.
+            assert not fenced.wait(timeout=0.5)
+            service.release.set()
+            fence.join(timeout=30)
+            assert not fence.is_alive() and fenced.is_set()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        finally:
+            service.release.set()
+            blocked.close()
+            fencer.close()
+            gateway.stop()
+
+
+class TestConcurrentCounting:
+    def test_no_count_is_lost_under_contention(self):
+        """Eight clients on two CPUs, switching threads as often as the
+        interpreter allows: every request and answer is counted, and every
+        admission slot is given back."""
+        gateway = GatewayThread(
+            _ChannelBlockingService(), worker_threads=4, max_pending_per_channel=64
+        )
+        host, port = gateway.start()
+        clients, calls = 8, 50
+
+        def drive(index):
+            with LightorClient(host, port) as client:
+                for _ in range(calls):
+                    assert client.live_red_dots(f"ch{index % 3}") == []
+
+        workers = [threading.Thread(target=drive, args=(i,), daemon=True) for i in range(clients)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        try:
+            with LightorClient(host, port) as probe:
+                health, text = probe.healthz(), probe.metrics()
+        finally:
+            gateway.stop()
+        assert (health["in_flight"], health["channels_in_flight"]) == (0, 0)
+        total = clients * calls
+        assert f'lightor_gateway_requests_total{{route="live_dots"}} {total}' in text
+        # The healthz answer is the one more 200; /metrics counts after itself.
+        assert f'lightor_gateway_responses_total{{status="200"}} {total + 1}' in text
+
+
+class TestBoundedRejectionLabel:
+    def test_channels_past_the_named_ones_share_the_other_series(self):
+        gateway = LightorGateway(_ChannelBlockingService(), max_pending_per_channel=1)
+        channels = [f"ch{i}" for i in range(_NAMED_REJECTED_CHANNELS + 5)]
+        route, handler = gateway._resolve("GET", "/live/x/dots")
+        refusals = 0
+        for channel in channels:
+            gateway._channel_in_flight[channel] = 1  # its budget is spent
+            for _ in range(2):
+                status, _, _ = gateway._call(
+                    route, handler, f"/live/{channel}/dots", {}, b"", "none"
+                )
+                assert status == 503
+                refusals += 1
+        series = [
+            line
+            for line in gateway._metrics_text().splitlines()
+            if line.startswith("lightor_gateway_channel_rejected_total{")
+        ]
+        assert len(series) == _NAMED_REJECTED_CHANNELS + 1
+        assert series[-1] == 'lightor_gateway_channel_rejected_total{channel="other"} 10'
+        assert sum(int(line.rsplit(" ", 1)[1]) for line in series) == refusals
 
 
 class TestGatewayThreadAddress:
