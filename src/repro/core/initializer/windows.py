@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -221,17 +221,25 @@ class StreamingWindowBuilder:
         # per-message range; the searchsorted slice is the exact predicate.
         lowest = max(0, self._next_seal, self._index_at_or_before(first - self.window_size) - 1)
         highest = self._index_at_or_before(last) + 1
-        for index in range(lowest, highest + 1):
+        index = lowest
+        while index <= highest:
             start = index * self.stride
             lo = int(np.searchsorted(timestamps, start, side="left"))
             hi = int(np.searchsorted(timestamps, start + self.window_size, side="left"))
             if lo >= hi:
+                if lo == len(messages):
+                    break
+                # No member here: jump to the first window that can hold the
+                # next message, over a gap of any length in one step.
+                following = self._index_at_or_before(timestamps[lo] - self.window_size) - 1
+                index = max(index + 1, following)
                 continue
             window = self._active.get(index)
             if window is None:
                 window = SlidingWindow(start=start, end=start + self.window_size)
                 self._active[index] = window
             window.messages.extend(messages[lo:hi])
+            index += 1
         self._last_timestamp = last
         self.messages_seen += len(messages)
         # Sealing after the appends matches the per-message order: a message
@@ -247,6 +255,8 @@ class StreamingWindowBuilder:
         semantics of ``messages_between(start, min(start + l, duration))``).
         """
         require_positive(duration, "duration")
+        if not math.isfinite(duration):
+            raise ValidationError(f"duration must be finite, got {duration!r}")
         remaining: list[SlidingWindow] = []
         index = self._next_seal
         while index * self.stride < duration:
@@ -257,7 +267,9 @@ class StreamingWindowBuilder:
                 if self.min_messages <= 0:
                     window = SlidingWindow(start=start, end=end)
                 else:
-                    index += 1
+                    index = self._end_of_gap(
+                        index, duration / self.stride, lambda i: i * self.stride < duration
+                    )
                     continue
             else:
                 window.end = end
@@ -277,14 +289,38 @@ class StreamingWindowBuilder:
         while self._next_seal * self.stride + self.window_size <= timestamp:
             index = self._next_seal
             window = self._active.pop(index, None)
-            if window is None and self.min_messages <= 0:
+            if window is None:
+                if self.min_messages > 0:
+                    self._next_seal = self._end_of_gap(
+                        index,
+                        (timestamp - self.window_size) / self.stride + 1,
+                        lambda i: i * self.stride + self.window_size <= timestamp,
+                    )
+                    continue
                 start = index * self.stride
                 window = SlidingWindow(start=start, end=start + self.window_size)
-            if window is not None and len(window.messages) >= self.min_messages:
+            if len(window.messages) >= self.min_messages:
                 sealed.append(window)
                 self.windows_sealed += 1
             self._next_seal += 1
         return sealed
+
+    def _end_of_gap(self, index: int, estimate: float, within: Callable[[int], bool]) -> int:
+        """Where a run of empty indices from ``index`` ends, in one step.
+
+        An index with no active window seals nothing when ``min_messages >
+        0``, so a loop over ``within`` (its own condition, true at
+        ``index``) may skip straight to the next active window or to the
+        first index ``within`` rejects, whichever comes first.  ``estimate``
+        locates that index; the exact predicate corrects it, so float
+        rounding cannot move the result.
+        """
+        end = max(index + 1, int(estimate))
+        while end > index + 1 and not within(end - 1):
+            end -= 1
+        while within(end):
+            end += 1
+        return min(end, min(self._active, default=end))
 
     def _index_at_or_before(self, timestamp: float) -> int:
         """Largest window index whose start could lie at or before ``timestamp``."""

@@ -15,6 +15,7 @@ The types mirror the vocabulary of the paper:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -53,6 +54,8 @@ class ChatMessage:
 
     def __post_init__(self) -> None:
         require_non_negative(self.timestamp, "timestamp")
+        if not math.isfinite(self.timestamp):
+            raise ValidationError(f"timestamp must be finite, got {self.timestamp!r}")
 
     @property
     def word_count(self) -> int:

@@ -17,9 +17,10 @@ paper's Figure 5, layered for scale (see ``docs/architecture.md``):
 * :mod:`service <repro.platform.service>` — the LIGHTOR back-end web service:
   receives a video id, crawls chat if needed, computes red dots, serves them,
   logs interactions and refines highlights.  Stateless over its backend.
-  Live channels ingest per event (``ingest_live_chat``) or in batches
-  (``ingest_chat_batch`` / ``ingest_plays_batch`` — one lock acquisition
-  and one storage transaction per batch; byte-equivalent persisted state).
+  Live channels ingest in batches (``ingest_chat_batch`` /
+  ``ingest_plays_batch`` — one lock acquisition and one storage
+  transaction per batch; a batch of one is per-event ingest, and the
+  persisted state is byte-equivalent however events are chunked).
 * :mod:`recovery <repro.platform.recovery>` — durable checkpoint/recovery
   for live sessions: the service snapshots each open session into its
   backend (on an event cadence and on eviction), stamps every persisted
@@ -36,15 +37,18 @@ paper's Figure 5, layered for scale (see ``docs/architecture.md``):
   routes video ids across N workers through the placement map, each worker
   with its own backend, crawler and streaming orchestrator, under
   per-shard locks; supports live channel migration and online resharding.
+* :mod:`surface <repro.platform.surface>` — the service surface declared
+  once: one table entry per front-door call (arguments, HTTP method and
+  path, wire codecs, channel routing) from which the client, the gateway's
+  routes, the cluster front door and the shard router are all bound.
 * :mod:`server <repro.platform.server>` — the network boundary: a
-  stdlib-only, thread-per-connection HTTP/1.1 JSON gateway exposing the
-  full sharded front-door surface, with per-request validation (400),
+  stdlib-only, thread-per-connection HTTP/1.1 JSON gateway serving every
+  verb of the surface table, with per-request validation (400),
   bounded-queue admission control (503) and graceful drain that
   checkpoints open live sessions for byte-exact recovery.
-* :mod:`client <repro.platform.client>` — the thin blocking HTTP client
-  mirroring the service surface method for method, so in-process callers
-  (the load harness above all) can be pointed at a gateway by swapping the
-  object.
+* :mod:`client <repro.platform.client>` — the thin blocking HTTP client,
+  bound from the surface table, so in-process callers (the load harness
+  above all) can be pointed at a gateway by swapping the object.
 * :mod:`extension <repro.platform.extension>` — the browser-extension front
   end: renders red dots on the progress bar and forwards viewer interactions
   to the service.

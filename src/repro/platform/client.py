@@ -1,13 +1,14 @@
 """Thin blocking HTTP client for the LIGHTOR gateway.
 
-:class:`LightorClient` mirrors the call surface of
-:class:`~repro.platform.sharding.ShardedLightorService` method for method,
+:class:`LightorClient` has one method per verb of
+:mod:`repro.platform.surface`, bound from that table with the same names
+and signatures as :class:`~repro.platform.sharding.ShardedLightorService`,
 so callers written against the in-process front door — the load-generation
 driver above all — can be pointed at a network gateway by swapping the
-object, nothing else.  Payloads are the round-trip-exact codec forms from
-:mod:`repro.platform.codecs`; what comes back out of a client is the same
-value objects (``RedDot``, ``StreamEvent``, …) the in-process service
-returns, byte-identical through the wire.
+object, nothing else.  The table encodes each call's arguments into the
+round-trip-exact codec forms of :mod:`repro.platform.codecs` and decodes
+the answer back into the same value objects (``RedDot``, ``StreamEvent``,
+…) the in-process service returns, byte-identical through the wire.
 
 Error mapping inverts the gateway's: a ``400`` becomes the
 :class:`~repro.utils.validation.ValidationError` the service raised on the
@@ -28,14 +29,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Sequence
-from urllib.parse import quote
 
-from repro.core.types import ChatMessage, Highlight, Interaction, RedDot, Video
-from repro.platform import codecs, wire
-from repro.platform.backends.base import HighlightRecord
+from repro.platform import surface, wire
 from repro.platform.placement import WrongShardError
-from repro.streaming.events import StreamEvent
+from repro.platform.surface import VERBS, Verb
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -174,7 +171,7 @@ class LightorClient:
         if wire.WIRE_CONTENT_TYPE in content_type:
             return wire.decode_frame(data)
         if "json" in content_type:
-            return json.loads(data.decode("utf-8"))
+            return wire.decode_json(data)
         return data.decode("utf-8")
 
     def _request(self, method: str, path: str, payload: dict | None = None):
@@ -232,168 +229,10 @@ class LightorClient:
             raise GatewayOverloadedError(status, message)
         raise GatewayError(status, message)
 
-    @staticmethod
-    def _video_path(video_id: str, leaf: str) -> str:
-        return f"/videos/{quote(video_id, safe='')}/{leaf}"
-
-    @staticmethod
-    def _live_path(video_id: str, leaf: str) -> str:
-        return f"/live/{quote(video_id, safe='')}/{leaf}"
-
-    @staticmethod
-    def _decode_events(payload: dict) -> list[StreamEvent]:
-        return [codecs.stream_event_from_dict(item) for item in payload["events"]]
-
-    @staticmethod
-    def _decode_dots(payload: dict) -> list[RedDot]:
-        return [codecs.red_dot_from_dict(item) for item in payload["red_dots"]]
-
-    # ---------------------------------------------------------- batch surface
-    def register_video(self, video: Video) -> None:
-        """Store video metadata on its home shard (no live session opened)."""
-        self._request("POST", "/videos", codecs.video_to_dict(video))
-
-    def request_red_dots(self, video_id: str, k: int | None = None) -> list[RedDot]:
-        """Red dots for a recorded video, served by its home shard."""
-        path = self._video_path(video_id, "red-dots")
-        if k is not None:
-            path += f"?k={int(k)}"
-        return self._decode_dots(self._request("GET", path))
-
-    def log_interactions(self, video_id: str, interactions: Sequence[Interaction]) -> int:
-        """Persist viewer interactions on the video's home shard."""
-        payload = {"interactions": [codecs.interaction_to_dict(i) for i in interactions]}
-        return self._request("POST", self._video_path(video_id, "interactions"), payload)["total"]
-
-    def refine_video(self, video_id: str) -> int:
-        """Run one Extractor refinement pass on the video's home shard."""
-        return self._request("POST", self._video_path(video_id, "refine"), {})["updated"]
-
-    # --------------------------------------------------- stored-state surface
-    # Read-only views of what the home shard has *persisted* — the raw store
-    # rows, not the model-ranked answers ``request_red_dots`` serves.  These
-    # power the cluster front door's remote ``store_for`` view, so parity
-    # fingerprints read cross-process state over the same wire as traffic.
-    def get_red_dots(self, video_id: str) -> list[RedDot]:
-        """The persisted red dots for a video, in stored order."""
-        return self._decode_dots(
-            self._request("GET", self._video_path(video_id, "stored-dots"))
-        )
-
-    def latest_highlights(self, video_id: str) -> list[Highlight]:
-        """The newest persisted highlight version for a video."""
-        payload = self._request("GET", self._video_path(video_id, "latest-highlights"))
-        return [codecs.highlight_from_dict(item) for item in payload["highlights"]]
-
-    def highlight_history(self, video_id: str) -> list[HighlightRecord]:
-        """Every persisted highlight version for a video, oldest first."""
-        payload = self._request("GET", self._video_path(video_id, "highlights"))
-        return [codecs.highlight_record_from_dict(item) for item in payload["highlights"]]
-
-    def get_interactions(self, video_id: str) -> list[Interaction]:
-        """The persisted viewer interactions for a video, in stored order."""
-        payload = self._request("GET", self._video_path(video_id, "interactions"))
-        return [codecs.interaction_from_dict(item) for item in payload["interactions"]]
-
-    # ----------------------------------------------------------- live surface
-    def start_live(self, video: Video) -> None:
-        """Register a live channel and open its session on its home shard."""
-        self._request(
-            "POST", self._live_path(video.video_id, "start"), codecs.video_to_dict(video)
-        )
-
-    def ingest_chat_batch(
-        self, video_id: str, messages: Sequence[ChatMessage], persist: bool = False
-    ) -> list[StreamEvent]:
-        """Push a timestamp-ordered chat batch for a live channel."""
-        payload = {
-            "messages": [codecs.chat_message_to_dict(m) for m in messages],
-            "persist": persist,
-        }
-        return self._decode_events(
-            self._request("POST", self._live_path(video_id, "chat"), payload)
-        )
-
-    def ingest_live_chat(
-        self, video_id: str, messages: Sequence[ChatMessage]
-    ) -> list[StreamEvent]:
-        """Per-event twin of :meth:`ingest_chat_batch` (a batch of any size)."""
-        return self.ingest_chat_batch(video_id, messages)
-
-    def ingest_plays_batch(
-        self, video_id: str, interactions: Sequence[Interaction]
-    ) -> list[StreamEvent]:
-        """Push a batch of viewer interactions for a live channel."""
-        payload = {"interactions": [codecs.interaction_to_dict(i) for i in interactions]}
-        return self._decode_events(
-            self._request("POST", self._live_path(video_id, "plays"), payload)
-        )
-
-    def ingest_live_interactions(
-        self, video_id: str, interactions: Sequence[Interaction]
-    ) -> list[StreamEvent]:
-        """Alias of :meth:`ingest_plays_batch`, matching the service surface."""
-        return self.ingest_plays_batch(video_id, interactions)
-
-    def live_red_dots(self, video_id: str) -> list[RedDot]:
-        """The dots to render right now for a channel (live or persisted)."""
-        return self._decode_dots(self._request("GET", self._live_path(video_id, "dots")))
-
-    def end_live(self, video_id: str, duration: float | None = None) -> list[RedDot]:
-        """Close a live channel on its home shard; final dots are persisted."""
-        return self._decode_dots(
-            self._request("POST", self._live_path(video_id, "end"), {"duration": duration})
-        )
-
-    # ------------------------------------------------- placement control plane
-    # Admin-plane calls used by the cluster supervisor (push placement, move
-    # channels between shards) and by the front door (pull placement after a
-    # 409 redirect).  Payloads stay as plain codec dicts: the caller decides
-    # whether to materialize a PlacementMap from them.
-    def get_placement(self) -> dict:
-        """The gateway's current placement payload (map + worker addresses)."""
-        return self._request("GET", "/placement")
-
-    def put_placement(
-        self, placement: dict, addresses: Sequence[Sequence] = ()
-    ) -> dict:
-        """Install a placement map (and optionally worker addresses) on the gateway."""
-        payload = {"placement": placement, "addresses": [list(a) for a in addresses]}
-        return self._request("POST", "/placement", payload)
-
-    def list_channels(self) -> list[str]:
-        """Every channel id persisted on this gateway's shard, sorted."""
-        return list(self._request("GET", "/admin/channels")["channels"])
-
-    def migrate_out(self, video_id: str) -> dict:
-        """Detach and export one channel: ``{"bundle": ..., "was_live": bool}``."""
-        return self._request("POST", "/admin/migrate-out", {"video_id": video_id})
-
-    def migrate_in(self, bundle: dict, was_live: bool = False) -> str:
-        """Import an exported channel bundle; resume its session when live."""
-        payload = {"bundle": bundle, "was_live": was_live}
-        return self._request("POST", "/admin/migrate-in", payload)["imported"]
-
-    def forget_channel(self, video_id: str) -> bool:
-        """Drop a migrated-out channel's residual state from this shard."""
-        return self._request("POST", "/admin/forget-channel", {"video_id": video_id})["forgotten"]
-
-    def fence(self) -> bool:
-        """Block until every request already admitted by the gateway finished.
-
-        The reshard census barrier: push a frozen placement, fence, then
-        :meth:`list_channels` — the listing is then provably complete.
-        """
-        return bool(self._request("POST", "/admin/fence")["drained"])
-
-    # ----------------------------------------------------------- observability
-    def healthz(self) -> dict:
-        """The gateway's health payload."""
-        return self._request("GET", "/healthz")
-
-    def metrics(self) -> str:
-        """The gateway's Prometheus-style metrics text."""
-        return self._request("GET", "/metrics")
+    def _send(self, verb: Verb, values: tuple):
+        """One surface call: encode the arguments, send, decode the answer."""
+        path, payload = verb.request(values)
+        return verb.answer(self._request(verb.method, path, payload))
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -405,3 +244,6 @@ class LightorClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+surface.bind(LightorClient, VERBS, "return self._send(VERB, {values})")

@@ -13,8 +13,9 @@ process**:
   mid-run, and stops them with SIGTERM so durable deployments drain,
   checkpoint and stay resumable via ``repro recover``.
 * :class:`ClusterFrontDoor` routes every service-surface call to the owning
-  shard over :class:`~repro.platform.client.LightorClient`.  It mirrors the
-  in-process front door method for method, and routes through the *same*
+  shard over :class:`~repro.platform.client.LightorClient`.  Its methods
+  are bound from the same :mod:`repro.platform.surface` table as the
+  in-process front door's, and it routes through the *same*
   :class:`~repro.platform.placement.PlacementMap` (same digest, same ring at
   epoch 0), so a video id lands on shard ``k`` of the cluster exactly when
   it lands on shard ``k`` in process — which is what lets the load harness
@@ -56,14 +57,11 @@ from collections import deque
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.types import ChatMessage, Highlight, Interaction, RedDot, Video
-from repro.platform import codecs, wire
+from repro.platform import codecs, surface, wire
 from repro.platform.backends import is_memory_path
-from repro.platform.backends.base import HighlightRecord
 from repro.platform.client import GatewayError, LightorClient
 from repro.platform.placement import PlacementMap, WrongShardError
 from repro.platform.sharding import ChannelMigration, ReshardReport, shard_db_path
-from repro.streaming.events import StreamEvent
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError, require_positive
 
@@ -660,33 +658,6 @@ class ShardClusterSupervisor:
         self.stop()
 
 
-class _RemoteStoreView:
-    """Read-only facade over one shard's persisted state, via its gateway.
-
-    Quacks like the slice of :class:`~repro.platform.backends.base.StorageBackend`
-    the load harness's fingerprint reads, so
-    ``ClusterFrontDoor.store_for(video_id)`` drops into code written against
-    the in-process front door — but every read crosses the wire, which is
-    the point: parity checks must see exactly what the shard *process*
-    persisted, not some local replica.
-    """
-
-    def __init__(self, client: LightorClient) -> None:
-        self._client = client
-
-    def get_red_dots(self, video_id: str) -> list[RedDot]:
-        return self._client.get_red_dots(video_id)
-
-    def latest_highlights(self, video_id: str) -> list[Highlight]:
-        return self._client.latest_highlights(video_id)
-
-    def highlight_history(self, video_id: str) -> list[HighlightRecord]:
-        return self._client.highlight_history(video_id)
-
-    def get_interactions(self, video_id: str) -> list[Interaction]:
-        return self._client.get_interactions(video_id)
-
-
 class ClusterFrontDoor:
     """Route the service surface to shard processes through a placement map.
 
@@ -817,9 +788,15 @@ class ClusterFrontDoor:
                 if self.shard_index(video_id) == index:
                     time.sleep(0.02)
 
-    def store_for(self, video_id: str) -> _RemoteStoreView:
-        """A read-only view of the owning shard's persisted state."""
-        return _RemoteStoreView(self.client_for(video_id))
+    def store_for(self, video_id: str) -> "ClusterFrontDoor":
+        """What the load harness reads persisted state through: this front door.
+
+        Its stored-state reads (``get_red_dots``, ``latest_highlights``,
+        ``highlight_history``, ``get_interactions``) have the backend's
+        signatures and cross the wire to the owning shard, so parity checks
+        see exactly what the shard *process* persisted.
+        """
+        return self
 
     def clone(self) -> "ClusterFrontDoor":
         """An independent front door over the same shards (for another thread).
@@ -835,86 +812,8 @@ class ClusterFrontDoor:
             placement=self.placement,
         )
 
-    # ------------------------------------------------------------ batch surface
-    def register_video(self, video: Video) -> None:
-        """Store video metadata on its home shard (no live session opened)."""
-        self._call(video.video_id, lambda client: client.register_video(video))
-
-    def request_red_dots(self, video_id: str, k: int | None = None) -> list[RedDot]:
-        """Red dots for a recorded video, computed by its home shard."""
-        return self._call(video_id, lambda client: client.request_red_dots(video_id, k=k))
-
-    def log_interactions(self, video_id: str, interactions: Sequence[Interaction]) -> int:
-        """Persist viewer interactions on the video's home shard."""
-        return self._call(
-            video_id, lambda client: client.log_interactions(video_id, interactions)
-        )
-
-    def refine_video(self, video_id: str) -> int:
-        """Run one Extractor refinement pass on the video's home shard."""
-        return self._call(video_id, lambda client: client.refine_video(video_id))
-
-    def get_red_dots(self, video_id: str) -> list[RedDot]:
-        """The stored red dots for a video (its home shard's backend)."""
-        return self._call(video_id, lambda client: client.get_red_dots(video_id))
-
-    def latest_highlights(self, video_id: str) -> list[Highlight]:
-        """The most recent stored highlight per area for a video."""
-        return self._call(video_id, lambda client: client.latest_highlights(video_id))
-
-    def highlight_history(self, video_id: str) -> list[HighlightRecord]:
-        """Every stored highlight record for a video, in version order."""
-        return self._call(video_id, lambda client: client.highlight_history(video_id))
-
-    def get_interactions(self, video_id: str) -> list[Interaction]:
-        """The stored viewer interactions for a video, in insertion order."""
-        return self._call(video_id, lambda client: client.get_interactions(video_id))
-
-    # ------------------------------------------------------------- live surface
-    def start_live(self, video: Video) -> None:
-        """Register a live channel and open its session on its home shard."""
-        self._call(video.video_id, lambda client: client.start_live(video))
-
-    def ingest_live_chat(
-        self, video_id: str, messages: Sequence[ChatMessage]
-    ) -> list[StreamEvent]:
-        """Push live chat to the channel's home shard."""
-        return self._call(
-            video_id, lambda client: client.ingest_live_chat(video_id, messages)
-        )
-
-    def ingest_chat_batch(
-        self, video_id: str, messages: Sequence[ChatMessage], persist: bool = False
-    ) -> list[StreamEvent]:
-        """Push a chat batch to the channel's home shard (one request per batch)."""
-        return self._call(
-            video_id,
-            lambda client: client.ingest_chat_batch(video_id, messages, persist=persist),
-        )
-
-    def ingest_live_interactions(
-        self, video_id: str, interactions: Sequence[Interaction]
-    ) -> list[StreamEvent]:
-        """Push live viewer interactions to the channel's home shard."""
-        return self._call(
-            video_id, lambda client: client.ingest_live_interactions(video_id, interactions)
-        )
-
-    def ingest_plays_batch(
-        self, video_id: str, interactions: Sequence[Interaction]
-    ) -> list[StreamEvent]:
-        """Push a viewer-interaction batch to the channel's home shard."""
-        return self._call(
-            video_id, lambda client: client.ingest_plays_batch(video_id, interactions)
-        )
-
-    def live_red_dots(self, video_id: str) -> list[RedDot]:
-        """The dots to render right now for a channel (live or persisted)."""
-        return self._call(video_id, lambda client: client.live_red_dots(video_id))
-
-    def end_live(self, video_id: str, duration: float | None = None) -> list[RedDot]:
-        """Close a live channel on its home shard; final dots are persisted."""
-        return self._call(video_id, lambda client: client.end_live(video_id, duration))
+    # The service surface is bound from repro.platform.surface below this
+    # class: each method forwards to the owning shard's client through _call.
 
     # ----------------------------------------------------------- observability
     def healthz(self) -> list[dict]:
@@ -938,3 +837,10 @@ class ClusterFrontDoor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+surface.bind(
+    ClusterFrontDoor,
+    surface.ROUTED,
+    "return self._call({key}, lambda client: client.{name}({args}))",
+)

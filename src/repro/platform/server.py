@@ -13,14 +13,13 @@ per-channel work under their own locks.
 
 Design points:
 
-* **Full service surface.**  Every front-door method —
-  ``register_video`` / ``request_red_dots`` / ``log_interactions`` /
-  ``refine_video`` plus the live surface (``start_live``, batched chat and
-  play ingest, current dots, ``end_live``) — has an endpoint; payloads are
-  the round-trip-exact codec forms from :mod:`repro.platform.codecs`, so a
-  workload driven over the wire persists byte-identical state to the same
-  workload driven in-process (``tests/test_loadgen.py`` holds the gateway
-  to that).
+* **Full service surface.**  Every verb of :mod:`repro.platform.surface`
+  — the recorded-video and live calls, placement, migration, health and
+  metrics — has an endpoint, resolved and decoded from that one table;
+  payloads are the round-trip-exact codec forms from
+  :mod:`repro.platform.codecs`, so a workload driven over the wire
+  persists byte-identical state to the same workload driven in-process
+  (``tests/test_loadgen.py`` holds the gateway to that).
 * **Validation is a 400, overload is a 503.**  Malformed JSON, codec
   failures and every :class:`~repro.utils.validation.ValidationError` the
   service raises map to ``400 {"error": ...}``.  Admission control is a
@@ -31,19 +30,21 @@ Design points:
   ``worker_threads`` at a time, and open connections are capped at
   ``max_pending + worker_threads``: a connection past the cap is answered
   ``503`` and closed, so connection threads stay bounded too.
-* **Bounded request heads.**  The request line and headers together may
-  take 64 KiB; a longer head is answered ``431`` and the connection closed.
+* **Bounded request heads, ``Content-Length`` bodies.**  The request line
+  and headers together may take 64 KiB; a longer head is answered ``431``
+  and the connection closed.  A request with any ``Transfer-Encoding`` is
+  answered ``501`` and the connection closed: its body is never read.
 * **Negotiated wire codec.**  Request bodies are decoded by their
   ``Content-Type`` and responses encoded by the request's ``Accept``:
   ``application/json`` (the default — old clients keep working unchanged)
   or the framed binary codec of :mod:`repro.platform.wire`
   (``application/x-repro-binary``), which cuts bytes/event on batch-heavy
-  routes.  Both codecs decode to identical value trees, so handlers are
-  codec-blind.  The payload cap is enforced on the *decoded entity* for
-  both: the Content-Length check bounds what is read, and a binary
-  frame's declared uncompressed size is checked against the same cap
-  before decompression (``413``) — a compressed frame cannot smuggle an
-  over-cap entity.
+  routes.  Both codecs decode to identical value trees, so request
+  decoding is codec-blind, and both refuse ``NaN`` and infinities.  The
+  payload cap is enforced on the *decoded entity* for both: the
+  Content-Length check bounds what is read, and a binary frame's declared
+  uncompressed size is checked against the same cap before decompression
+  (``413``) — a compressed frame cannot smuggle an over-cap entity.
 * **Graceful drain.**  :meth:`LightorGateway.drain` stops accepting, lets
   the in-flight requests finish and refuses late requests with ``503``;
   the ``repro serve`` command then calls
@@ -60,18 +61,18 @@ process.
 
 from __future__ import annotations
 
-import functools
 import json
 import socket
 import threading
 import time
 from collections import Counter
 from http import HTTPStatus
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.platform import codecs, wire
 from repro.platform.placement import PlacementMap, WrongShardError
+from repro.platform.surface import VERBS, Verb
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError, require_positive
 
@@ -91,40 +92,11 @@ _NAMED_REJECTED_CHANNELS = 16
 _LINGER_SECONDS = 1.0
 
 
-# Path shape -> method -> (route name, handler); "{id}" stands for the
-# channel in the path.  The first entry of a shape names its 405s.
-_ROUTES: dict[tuple[str, ...], dict[str, tuple[str, str]]] = {
-    ("healthz",): {"GET": ("healthz", "_noop")},
-    ("metrics",): {"GET": ("metrics", "_noop")},
-    ("placement",): {
-        "GET": ("placement", "_h_get_placement"),
-        "POST": ("placement_install", "_h_put_placement"),
-    },
-    ("admin", "channels"): {"GET": ("admin_channels", "_h_admin_channels")},
-    ("admin", "migrate-out"): {"POST": ("admin_migrate_out", "_h_admin_migrate_out")},
-    ("admin", "migrate-in"): {"POST": ("admin_migrate_in", "_h_admin_migrate_in")},
-    ("admin", "forget-channel"): {"POST": ("admin_forget_channel", "_h_admin_forget_channel")},
-    # Answered outside admission (see _respond): the fence waits for
-    # admitted calls and must not be one itself.
-    ("admin", "fence"): {"POST": ("admin_fence", "_noop")},
-    ("videos",): {"POST": ("register", "_h_register")},
-    ("videos", "{id}", "red-dots"): {"GET": ("red_dots", "_h_red_dots")},
-    ("videos", "{id}", "interactions"): {
-        "POST": ("interactions", "_h_interactions"),
-        "GET": ("interactions_read", "_h_get_interactions"),
-    },
-    ("videos", "{id}", "refine"): {"POST": ("refine", "_h_refine")},
-    ("videos", "{id}", "stored-dots"): {"GET": ("stored_dots", "_h_stored_dots")},
-    ("videos", "{id}", "highlights"): {"GET": ("highlights", "_h_highlight_history")},
-    ("videos", "{id}", "latest-highlights"): {
-        "GET": ("latest_highlights", "_h_latest_highlights")
-    },
-    ("live", "{id}", "start"): {"POST": ("live_start", "_h_start_live")},
-    ("live", "{id}", "chat"): {"POST": ("live_chat", "_h_chat")},
-    ("live", "{id}", "plays"): {"POST": ("live_plays", "_h_plays")},
-    ("live", "{id}", "dots"): {"GET": ("live_dots", "_h_live_dots")},
-    ("live", "{id}", "end"): {"POST": ("live_end", "_h_end_live")},
-}
+# Path shape -> method -> verb; "{id}" stands for the channel in the path.
+# The first verb on a shape names its 405s.
+_SHAPES: dict[tuple[str, ...], dict[str, Verb]] = {}
+for _verb in VERBS:
+    _SHAPES.setdefault(tuple(_verb.path.strip("/").split("/")), {})[_verb.method] = _verb
 
 
 class _ProtocolError(Exception):
@@ -133,13 +105,6 @@ class _ProtocolError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
-
-
-def _require_list(body: dict, key: str) -> list:
-    value = body.get(key)
-    if not isinstance(value, list):
-        raise ValidationError(f"request body must carry {key!r} as a JSON list")
-    return value
 
 
 class LightorGateway:
@@ -410,6 +375,10 @@ class LightorGateway:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read; serving the call with the
+            # body unread would then parse the body as the next request.
+            raise _ProtocolError(501, "Transfer-Encoding is not supported; send Content-Length")
         raw_length = headers.get("content-length", "0") or "0"
         try:
             length = int(raw_length)
@@ -430,8 +399,7 @@ class LightorGateway:
         """Dispatch one request and write its response; returns keep-alive."""
         keep_alive = headers.get("connection", "").lower() != "close"
         split = urlsplit(target)
-        path = unquote(split.path)
-        route, handler = self._resolve(method, path)
+        route, verb, channel = self._resolve(method, unquote(split.path))
         content_type = (
             (headers.get("content-type") or "").split(";")[0].strip().lower() or "none"
         )
@@ -440,43 +408,32 @@ class LightorGateway:
             self._content_types[content_type] += 1
             self._bytes_in += len(body)
         payload: dict | str
-        if handler is None:
+        if verb is None:
             status, payload = (
                 (404, {"error": f"no such endpoint: {split.path}"})
                 if route == "unknown"
                 else (405, {"error": f"method {method} not allowed on {split.path}"})
             )
-        elif route == "healthz":
-            status, payload = 200, self._health_payload()
-        elif route == "metrics":
-            status, payload = 200, self._metrics_text()
-        elif route == "admin_fence":
-            self._fence()
-            status, payload = 200, {"drained": True}
+        elif not verb.admitted:
+            status, payload = 200, verb.reply(getattr(self, verb.calls)(), ())
         else:
             status, payload, keep = self._call(
-                route, handler, path, parse_qs(split.query), body, content_type
+                verb, channel, parse_qs(split.query), body, content_type
             )
             keep_alive = keep_alive and keep
         self._reply(conn, route, status, payload, self._response_codec(headers), keep_alive)
         return keep_alive
 
     def _call(
-        self,
-        route: str,
-        handler: Callable[[dict, dict], dict],
-        path: str,
-        query: dict,
-        body: bytes,
-        content_type: str,
+        self, verb: Verb, channel: str | None, query: dict, body: bytes, content_type: str
     ) -> tuple[int, dict, bool]:
         """Admit one service call and run it on this thread.
 
         Returns ``(status, payload, keep_alive)``; only a draining gateway
         closes the connection.
         """
-        channel = self._channel_of(path) if self.max_pending_per_channel is not None else None
-        conflict = self._wrong_shard_payload(path)
+        budgeted = channel if self.max_pending_per_channel is not None else None
+        conflict = self._wrong_shard_payload(channel)
         with self._cond:
             if self._draining:
                 return 503, {"error": "gateway is draining"}, False
@@ -491,44 +448,44 @@ class LightorGateway:
                     "error": f"gateway overloaded ({len(self._running)} requests in flight)"
                 }, True
             if (
-                channel is not None
-                and self._channel_in_flight[channel] >= self.max_pending_per_channel
+                budgeted is not None
+                and self._channel_in_flight[budgeted] >= self.max_pending_per_channel
             ):
                 # Per-channel fairness: the hot channel is refused while the
                 # rest of the global budget stays available to the tail.
                 self._rejected += 1
                 if (
-                    channel in self._channel_rejected
+                    budgeted in self._channel_rejected
                     or len(self._channel_rejected) < _NAMED_REJECTED_CHANNELS
                 ):
-                    self._channel_rejected[channel] += 1
+                    self._channel_rejected[budgeted] += 1
                 else:
                     self._other_rejected += 1
                 return 503, {
                     "error": (
-                        f"channel {channel} overloaded "
-                        f"({self._channel_in_flight[channel]} requests in flight)"
+                        f"channel {budgeted} overloaded "
+                        f"({self._channel_in_flight[budgeted]} requests in flight)"
                     )
                 }, True
             ticket = self._admitted
             self._admitted += 1
             self._running.add(ticket)
-            if channel is not None:
-                self._channel_in_flight[channel] += 1
+            if budgeted is not None:
+                self._channel_in_flight[budgeted] += 1
         try:
             with self._slots:
-                status, payload = self._execute(handler, body, content_type, query, path)
+                status, payload = self._execute(verb, channel, body, content_type, query)
         finally:
             # Released before the answer is written, so a client that has
             # its answer never finds its own slot still taken.
             with self._cond:
                 self._running.discard(ticket)
-                if channel is not None:
-                    self._channel_in_flight[channel] -= 1
-                    if self._channel_in_flight[channel] <= 0:
+                if budgeted is not None:
+                    self._channel_in_flight[budgeted] -= 1
+                    if self._channel_in_flight[budgeted] <= 0:
                         # Keep the counter sparse: a long-running gateway
                         # must not accumulate a key per channel ever seen.
-                        del self._channel_in_flight[channel]
+                        del self._channel_in_flight[budgeted]
                 self._cond.notify_all()
         return status, payload, True
 
@@ -555,30 +512,26 @@ class LightorGateway:
         Both codecs enforce the same decoded-entity cap: JSON bodies *are*
         their decoded entity (bounded by the Content-Length check), and a
         binary frame's declared uncompressed size is checked against the
-        identical cap before any decompression.
+        identical cap before any decompression.  Both refuse non-finite
+        numbers, as their encoders do.
         """
         if not body:
             return {}
         if content_type == wire.WIRE_CONTENT_TYPE:
             return wire.decode_frame(body, max_raw_bytes=_MAX_BODY_BYTES)
-        return json.loads(body.decode("utf-8"))
+        return wire.decode_json(body)
 
     def _execute(
-        self,
-        handler: Callable[[dict, dict], dict],
-        body: bytes,
-        content_type: str,
-        query: dict,
-        path: str = "",
+        self, verb: Verb, channel: str | None, body: bytes, content_type: str, query: dict
     ) -> tuple[int, dict]:
-        """Run one service call, mapping errors to statuses."""
+        """Decode, check and run one service call, mapping errors to statuses."""
         try:
             decoded = self._decode_body(body, content_type)
         except wire.CodecTooLargeError as error:
             return 413, {"error": str(error)}
         except wire.CodecError as error:
             return 400, {"error": f"request body is not a valid binary frame: {error}"}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except ValueError as error:  # undecodable UTF-8 or JSON
             return 400, {"error": f"request body is not valid JSON: {error}"}
         if not isinstance(decoded, dict):
             return 400, {"error": "request body must be a JSON object"}
@@ -587,13 +540,18 @@ class LightorGateway:
         # been installed between the two.  This is what makes the freeze a
         # real barrier — a request admitted just before the frozen map
         # landed cannot create channel state after the supervisor's census.
-        conflict = self._wrong_shard_payload(path)
+        conflict = self._wrong_shard_payload(channel)
         if conflict is not None:
             return 409, conflict
         try:
-            return 200, handler(decoded, query)
+            args = verb.arguments(channel, decoded, query)
+            owner, _, name = verb.calls.rpartition(".")
+            call = getattr(self.service if owner else self, name, None)
+            if call is None:
+                raise ValidationError(f"this tier does not serve {verb.name}")
+            return 200, verb.reply(call(*args), args)
         except ValidationError as error:
-            conflict = self._wrong_shard_payload(path)
+            conflict = self._wrong_shard_payload(channel)
             if conflict is not None:
                 # The request was admitted before a placement push and its
                 # channel migrated away mid-flight: the placement install
@@ -645,26 +603,23 @@ class LightorGateway:
         conn.sendall(head.encode("latin-1") + body)
 
     # ----------------------------------------------------------------- routing
-    def _resolve(
-        self, method: str, path: str
-    ) -> tuple[str, Callable[[dict, dict], dict] | None]:
-        """Map (method, path) to a (route name, handler) pair.
+    def _resolve(self, method: str, path: str) -> tuple[str, Verb | None, str | None]:
+        """Map (method, path) to ``(route label, verb, channel)``.
 
-        Unknown paths resolve to ``("unknown", None)`` (404); known paths
-        with the wrong method to ``(route, None)`` (405).  A channel
-        route's handler comes bound to the channel named in the path.
+        Unknown paths resolve to ``("unknown", None, None)`` (404); known
+        paths with the wrong method to a ``None`` verb under the path's
+        first route label (405).
         """
         parts = [part for part in path.split("/") if part]
         channel = self._channel_of(path)
         shape = tuple(parts) if channel is None else (parts[0], "{id}", parts[2])
-        methods = _ROUTES.get(shape)
-        if methods is None:
-            return "unknown", None
-        if method not in methods:
-            return next(iter(methods.values()))[0], None
-        route, name = methods[method]
-        handler = getattr(self, name)
-        return route, handler if channel is None else functools.partial(handler, channel)
+        verbs = _SHAPES.get(shape)
+        if verbs is None:
+            return "unknown", None, None
+        verb = verbs.get(method)
+        if verb is None:
+            return next(iter(verbs.values())).route, None, channel
+        return verb.route, verb, channel
 
     @staticmethod
     def _channel_of(path: str) -> str | None:
@@ -679,11 +634,7 @@ class LightorGateway:
             return parts[1]
         return None
 
-    @staticmethod
-    def _noop(body: dict, query: dict) -> dict:  # pragma: no cover - never executed
-        return {}
-
-    def _fence(self) -> None:
+    def _fence(self) -> bool:
         """Wait until every request admitted so far has finished executing.
 
         ``POST /admin/fence``, the reshard census barrier.  A supervisor that
@@ -696,6 +647,7 @@ class LightorGateway:
         with self._cond:
             fence = self._admitted
             self._cond.wait_for(lambda: all(ticket >= fence for ticket in self._running))
+        return True
 
     # ----------------------------------------------------------- placement
     def _installed_placement(self) -> PlacementMap | None:
@@ -715,7 +667,7 @@ class LightorGateway:
         placement = self._effective_placement()
         return placement.epoch if placement is not None else 0
 
-    def _wrong_shard_payload(self, path: str) -> dict | None:
+    def _wrong_shard_payload(self, channel: str | None) -> dict | None:
         """The 409 body for a channel this shard must not serve, or ``None``.
 
         Only a gateway with a cluster identity (``shard_index``) *and* an
@@ -724,10 +676,7 @@ class LightorGateway:
         working epoch-0 style.  Channel-less routes — ``/placement``, the
         ``/admin/*`` migration choreography, health — always pass.
         """
-        if self.shard_index is None:
-            return None
-        channel = self._channel_of(path)
-        if channel is None:
+        if self.shard_index is None or channel is None:
             return None
         placement = self._installed_placement()
         if placement is None:
@@ -750,7 +699,7 @@ class LightorGateway:
             "in_flight": in_flight,
         }
 
-    def _h_get_placement(self, body: dict, query: dict) -> dict:
+    def _placement_payload(self) -> dict:
         placement = self._effective_placement()
         if placement is None:
             raise ValidationError(
@@ -765,16 +714,9 @@ class LightorGateway:
             "shard_index": self.shard_index,
         }
 
-    def _h_put_placement(self, body: dict, query: dict) -> dict:
-        payload = body.get("placement")
-        if not isinstance(payload, dict):
-            raise ValidationError("request body must carry 'placement' as a JSON object")
-        pushed = codecs.placement_map_from_dict(payload)
-        addresses: list[tuple[str, int]] = []
-        for entry in _require_list(body, "addresses") if "addresses" in body else []:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValidationError("addresses entries must be [host, port] pairs")
-            addresses.append((str(entry[0]), int(entry[1])))
+    def _install_placement(
+        self, pushed: PlacementMap, addresses: list[tuple[str, int]]
+    ) -> dict:
         with self._placement_lock:
             if self._placement is None:
                 self._placement = pushed
@@ -785,132 +727,6 @@ class LightorGateway:
                 self._placement_addresses = addresses
             epoch = self._placement.epoch
         return {"installed": installed, "epoch": epoch}
-
-    def _h_admin_channels(self, body: dict, query: dict) -> dict:
-        if not hasattr(self.service, "list_channels"):
-            raise ValidationError("this tier does not expose channel migration")
-        return {"channels": self.service.list_channels()}
-
-    def _h_admin_migrate_out(self, body: dict, query: dict) -> dict:
-        video_id = body.get("video_id")
-        if not isinstance(video_id, str) or not video_id:
-            raise ValidationError("request body must carry 'video_id' as a string")
-        if not hasattr(self.service, "migrate_out"):
-            raise ValidationError("this tier does not expose channel migration")
-        return self.service.migrate_out(video_id)
-
-    def _h_admin_migrate_in(self, body: dict, query: dict) -> dict:
-        bundle = body.get("bundle")
-        if not isinstance(bundle, dict):
-            raise ValidationError("request body must carry 'bundle' as a JSON object")
-        was_live = body.get("was_live", False)
-        if not isinstance(was_live, bool):
-            raise ValidationError("was_live must be a JSON boolean")
-        if not hasattr(self.service, "import_channel"):
-            raise ValidationError("this tier does not expose channel migration")
-        return {"imported": self.service.import_channel(bundle, was_live=was_live)}
-
-    def _h_admin_forget_channel(self, body: dict, query: dict) -> dict:
-        video_id = body.get("video_id")
-        if not isinstance(video_id, str) or not video_id:
-            raise ValidationError("request body must carry 'video_id' as a string")
-        if not hasattr(self.service, "forget_channel"):
-            raise ValidationError("this tier does not expose channel migration")
-        return {"forgotten": self.service.forget_channel(video_id)}
-
-    # ---------------------------------------------------------------- handlers
-    def _h_register(self, body: dict, query: dict) -> dict:
-        video = codecs.video_from_dict(body)
-        self.service.register_video(video)
-        return {"registered": video.video_id}
-
-    def _h_red_dots(self, video_id: str, body: dict, query: dict) -> dict:
-        k = self._query_int(query, "k")
-        dots = self.service.request_red_dots(video_id, k=k)
-        return {"red_dots": [codecs.red_dot_to_dict(dot) for dot in dots]}
-
-    def _h_interactions(self, video_id: str, body: dict, query: dict) -> dict:
-        interactions = [
-            codecs.interaction_from_dict(item) for item in _require_list(body, "interactions")
-        ]
-        total = self.service.log_interactions(video_id, interactions)
-        return {"total": total, "ingested": len(interactions)}
-
-    def _h_refine(self, video_id: str, body: dict, query: dict) -> dict:
-        return {"updated": self.service.refine_video(video_id)}
-
-    def _h_stored_dots(self, video_id: str, body: dict, query: dict) -> dict:
-        dots = self.service.get_red_dots(video_id)
-        return {"red_dots": [codecs.red_dot_to_dict(dot) for dot in dots]}
-
-    def _h_highlight_history(self, video_id: str, body: dict, query: dict) -> dict:
-        records = self.service.highlight_history(video_id)
-        return {"highlights": [codecs.highlight_record_to_dict(r) for r in records]}
-
-    def _h_latest_highlights(self, video_id: str, body: dict, query: dict) -> dict:
-        highlights = self.service.latest_highlights(video_id)
-        return {"highlights": [codecs.highlight_to_dict(h) for h in highlights]}
-
-    def _h_get_interactions(self, video_id: str, body: dict, query: dict) -> dict:
-        interactions = self.service.get_interactions(video_id)
-        return {"interactions": [codecs.interaction_to_dict(i) for i in interactions]}
-
-    def _h_start_live(self, video_id: str, body: dict, query: dict) -> dict:
-        video = codecs.video_from_dict(body)
-        if video.video_id != video_id:
-            raise ValidationError(
-                f"path names channel {video_id!r} but the body is video "
-                f"{video.video_id!r}"
-            )
-        self.service.start_live(video)
-        return {"live": video_id}
-
-    def _h_chat(self, video_id: str, body: dict, query: dict) -> dict:
-        messages = [
-            codecs.chat_message_from_dict(item) for item in _require_list(body, "messages")
-        ]
-        persist = body.get("persist", False)
-        if not isinstance(persist, bool):
-            raise ValidationError("persist must be a JSON boolean")
-        events = self.service.ingest_chat_batch(video_id, messages, persist=persist)
-        return {
-            "events": [codecs.stream_event_to_dict(event) for event in events],
-            "ingested": len(messages),
-        }
-
-    def _h_plays(self, video_id: str, body: dict, query: dict) -> dict:
-        interactions = [
-            codecs.interaction_from_dict(item) for item in _require_list(body, "interactions")
-        ]
-        events = self.service.ingest_plays_batch(video_id, interactions)
-        return {
-            "events": [codecs.stream_event_to_dict(event) for event in events],
-            "ingested": len(interactions),
-        }
-
-    def _h_live_dots(self, video_id: str, body: dict, query: dict) -> dict:
-        dots = self.service.live_red_dots(video_id)
-        return {"red_dots": [codecs.red_dot_to_dict(dot) for dot in dots]}
-
-    def _h_end_live(self, video_id: str, body: dict, query: dict) -> dict:
-        duration = body.get("duration")
-        if duration is not None and not isinstance(duration, (int, float)):
-            raise ValidationError("duration must be a JSON number or null")
-        dots = self.service.end_live(video_id, duration)
-        return {"red_dots": [codecs.red_dot_to_dict(dot) for dot in dots]}
-
-    @staticmethod
-    def _query_int(query: dict, name: str) -> int | None:
-        values = query.get(name)
-        if not values:
-            return None
-        try:
-            return int(values[-1])
-        except ValueError:
-            raise ValidationError(
-                f"query parameter {name}={values[-1]!r} is not an integer"
-            ) from None
-
 
     # ------------------------------------------------------------ observability
     def _health_payload(self) -> dict:

@@ -17,15 +17,13 @@ interactions are pushed as they happen, provisional red dots are served
 mid-stream, and ending the live session persists the final (batch-parity)
 dots in the store.
 
-The live surface comes in two granularities: per event
-(:meth:`~LightorWebService.ingest_live_chat` /
-:meth:`~LightorWebService.ingest_live_interactions`) and batched
+Live events arrive in batches
 (:meth:`~LightorWebService.ingest_chat_batch` /
 :meth:`~LightorWebService.ingest_plays_batch`) — one boundary crossing,
-one storage transaction and one provisional re-score per batch.  Whatever
-the chunking, the persisted state is byte-identical
-(``tests/test_batch_ingest.py``); ``docs/performance.md`` covers what
-batching buys and why.
+one storage transaction and one provisional re-score per batch; a batch
+of one event is per-event ingest.  Whatever the chunking, the persisted
+state is byte-identical (``tests/test_batch_ingest.py``);
+``docs/performance.md`` covers what batching buys and why.
 
 With ``checkpoint_every`` set, live sessions are also *crash-safe*: the
 service writes a durable session checkpoint on that event cadence and on
@@ -325,36 +323,21 @@ class LightorWebService:
         if self.checkpointing:
             self.checkpoint_live_session(video_id)
 
-    def ingest_live_chat(
-        self, video_id: str, messages: Sequence[ChatMessage]
-    ) -> list[StreamEvent]:
-        """Push chat messages from a live channel; returns emit/retract events.
-
-        The channel must have been opened with :meth:`start_live` and still
-        be live.  Rejecting unknown channels here (instead of silently
-        opening a fresh session, as the low-level orchestrator would) keeps
-        an LRU-evicted or already-ended channel from being reborn with only
-        the tail of its chat — whose finalize would then overwrite the
-        correct stored dots.
-        """
-        session = self._require_live(video_id)
-        events: list[StreamEvent] = []
-        for message in messages:
-            events.extend(session.ingest_message(message))
-        return events
-
     def ingest_chat_batch(
         self, video_id: str, messages: Sequence[ChatMessage], persist: bool = False
     ) -> list[StreamEvent]:
         """Push a timestamp-ordered chat batch for a live channel.
 
-        The batched twin of :meth:`ingest_live_chat`: the whole batch crosses
-        the service boundary once and folds into the window state in one
-        NumPy pass, with the emit-policy checkpoint evaluated once at the
-        batch boundary instead of once per message.  The final (and
-        persisted) red dots are byte-identical to per-message ingest — only
-        the provisional re-score cadence coarsens, which is where batched
-        ingest gets its throughput (see ``docs/performance.md``).
+        The channel must have been opened with :meth:`start_live` and still
+        be live: an LRU-evicted or already-ended channel reborn with only the
+        tail of its chat would later overwrite the correct stored dots.  The
+        whole batch crosses the service boundary once and folds into the
+        window state in one NumPy pass, with the emit-policy checkpoint
+        evaluated once at the batch boundary.  The final (and persisted) red
+        dots are byte-identical however the chat is chunked — a batch of one
+        message is per-message ingest; only the provisional re-score cadence
+        coarsens with the batch size, which is where batched ingest gets its
+        throughput (see ``docs/performance.md``).
 
         With ``persist=True`` the batch is also appended to the store's chat
         log (one transaction via
@@ -383,23 +366,14 @@ class LightorWebService:
             self._after_persisted_ingest(video_id, len(messages))
         return events
 
-    def ingest_live_interactions(
-        self, video_id: str, interactions: Sequence[Interaction]
-    ) -> list[StreamEvent]:
-        """Push viewer interactions from a live channel; returns refinements.
-
-        Interactions are also persisted in the store so a post-stream batch
-        refinement pass (:meth:`refine_video`) can reuse them.  Alias of
-        :meth:`ingest_plays_batch` (one event is just a batch of one).
-        """
-        return self.ingest_plays_batch(video_id, interactions)
-
     def ingest_plays_batch(
         self, video_id: str, interactions: Sequence[Interaction]
     ) -> list[StreamEvent]:
         """Push a batch of viewer interactions for a live channel.
 
-        The whole batch is persisted in **one** store append (a single
+        Interactions are persisted so a post-stream batch refinement pass
+        (:meth:`refine_video`) can reuse them: the whole batch in **one**
+        store append (a single
         transaction on durable backends) and folded into the streaming
         extractor in arrival order.  Before any play is attributed, a stale
         provisional dot set is refreshed — any emit/retract events that

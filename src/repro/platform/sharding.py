@@ -47,10 +47,9 @@ from typing import Callable, Sequence
 
 from repro.core.config import LightorConfig
 from repro.core.initializer.initializer import HighlightInitializer
-from repro.core.types import ChatMessage, Highlight, Interaction, RedDot, Video
+from repro.platform import surface
 from repro.platform.api import SimulatedStreamingAPI
 from repro.platform.backends import (
-    HighlightRecord,
     MEMORY_DB_PATH,
     SQLiteStore,
     StorageBackend,
@@ -60,7 +59,6 @@ from repro.platform.backends import (
 from repro.platform.crawler import ChatCrawler
 from repro.platform.placement import ConsistentHashRing, PlacementMap
 from repro.platform.service import LightorWebService
-from repro.streaming.events import StreamEvent
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import ValidationError, require_positive
 
@@ -329,99 +327,9 @@ class ShardedLightorService:
                 return
             lock.release()
 
-    # ------------------------------------------------------------ batch surface
-    def register_video(self, video: Video) -> None:
-        """Store video metadata on its home shard (no live session opened)."""
-        with self._routed(video.video_id) as shard:
-            shard.store.put_video(video)
-
-    def request_red_dots(self, video_id: str, k: int | None = None) -> list[RedDot]:
-        """Red dots for a recorded video, served by its home shard."""
-        with self._routed(video_id) as shard:
-            return shard.request_red_dots(video_id, k=k)
-
-    def log_interactions(self, video_id: str, interactions: Sequence[Interaction]) -> int:
-        """Persist viewer interactions on the video's home shard."""
-        with self._routed(video_id) as shard:
-            return shard.log_interactions(video_id, interactions)
-
-    def refine_video(self, video_id: str) -> int:
-        """Run one Extractor refinement pass on the video's home shard."""
-        with self._routed(video_id) as shard:
-            return shard.refine_video(video_id)
-
-    def get_red_dots(self, video_id: str) -> list[RedDot]:
-        """The stored red dots for a video (its home shard's backend)."""
-        with self._routed(video_id) as shard:
-            return shard.store.get_red_dots(video_id)
-
-    def latest_highlights(self, video_id: str) -> list[Highlight]:
-        """The most recent stored highlight per area for a video."""
-        with self._routed(video_id) as shard:
-            return shard.store.latest_highlights(video_id)
-
-    def highlight_history(self, video_id: str) -> list[HighlightRecord]:
-        """Every stored highlight record for a video, in version order."""
-        with self._routed(video_id) as shard:
-            return shard.store.highlight_history(video_id)
-
-    def get_interactions(self, video_id: str) -> list[Interaction]:
-        """The stored viewer interactions for a video, in insertion order."""
-        with self._routed(video_id) as shard:
-            return shard.store.get_interactions(video_id)
-
-    # ------------------------------------------------------------- live surface
-    def start_live(self, video: Video) -> None:
-        """Register a live channel and open its session on its home shard."""
-        with self._routed(video.video_id) as shard:
-            shard.start_live(video)
-
-    def ingest_live_chat(
-        self, video_id: str, messages: Sequence[ChatMessage]
-    ) -> list[StreamEvent]:
-        """Push live chat to the channel's home shard."""
-        with self._routed(video_id) as shard:
-            return shard.ingest_live_chat(video_id, messages)
-
-    def ingest_chat_batch(
-        self, video_id: str, messages: Sequence[ChatMessage], persist: bool = False
-    ) -> list[StreamEvent]:
-        """Push a chat batch to the channel's home shard.
-
-        One placement lookup and one lock acquisition cover the whole batch —
-        under load this is the difference between contending on the shard
-        lock per message and contending once per hundreds of messages.
-        """
-        with self._routed(video_id) as shard:
-            return shard.ingest_chat_batch(video_id, messages, persist=persist)
-
-    def ingest_live_interactions(
-        self, video_id: str, interactions: Sequence[Interaction]
-    ) -> list[StreamEvent]:
-        """Push live viewer interactions to the channel's home shard."""
-        with self._routed(video_id) as shard:
-            return shard.ingest_live_interactions(video_id, interactions)
-
-    def ingest_plays_batch(
-        self, video_id: str, interactions: Sequence[Interaction]
-    ) -> list[StreamEvent]:
-        """Push a viewer-interaction batch to the channel's home shard.
-
-        One lock acquisition and one store append (a single transaction on
-        durable backends) per batch per shard.
-        """
-        with self._routed(video_id) as shard:
-            return shard.ingest_plays_batch(video_id, interactions)
-
-    def live_red_dots(self, video_id: str) -> list[RedDot]:
-        """The dots to render right now for a channel (live or persisted)."""
-        with self._routed(video_id) as shard:
-            return shard.live_red_dots(video_id)
-
-    def end_live(self, video_id: str, duration: float | None = None) -> list[RedDot]:
-        """Close a live channel on its home shard; final dots are persisted."""
-        with self._routed(video_id) as shard:
-            return shard.end_live(video_id, duration)
+    # The service surface (register_video, request_red_dots, … end_live) is
+    # bound from repro.platform.surface below this class: each method runs
+    # its target on the owning worker inside _routed.
 
     def recover_live_sessions(self) -> list:
         """Rebuild every shard's open sessions from their durable checkpoints.
@@ -685,3 +593,10 @@ class ShardedLightorService:
                         first_error = error
         if first_error is not None:
             raise first_error
+
+
+surface.bind(
+    ShardedLightorService,
+    surface.ROUTED,
+    "with self._routed({key}) as shard:\n        return shard.{target}({args})",
+)

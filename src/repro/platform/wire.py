@@ -55,6 +55,7 @@ See ``docs/wire_format.md``.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import zlib
@@ -73,6 +74,7 @@ __all__ = [
     "WIRE_CODECS",
     "WIRE_CONTENT_TYPE",
     "decode_frame",
+    "decode_json",
     "encode_frame",
 ]
 
@@ -368,7 +370,7 @@ class _Decoder:
         if tag == _T_INT:
             return _I64.unpack(self.take(8))[0]
         if tag == _T_FLOAT:
-            return _F64.unpack(self.take(8))[0]
+            return _finite(_F64.unpack(self.take(8))[0])
         if tag == _T_STR:
             return self.string()
         if tag == _T_LIST:
@@ -399,6 +401,8 @@ class _Decoder:
             column_tag = self.take(1)[0]
             if column_tag == _C_FLOAT:
                 values = list(struct.unpack(f"!{n_rows}d", self.take(8 * n_rows)))
+                if not all(map(math.isfinite, values)):
+                    raise CodecError("frame carries a non-finite float")
             elif column_tag == _C_INT:
                 values = list(struct.unpack(f"!{n_rows}q", self.take(8 * n_rows)))
             elif column_tag == _C_STR:
@@ -411,6 +415,26 @@ class _Decoder:
         return [
             {key: values[row] for key, values in columns} for row in range(n_rows)
         ]
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise CodecError("frame carries a non-finite float")
+    return value
+
+
+def _refuse_constant(name: str) -> None:
+    raise json.JSONDecodeError(f"{name} is not a JSON number", name, 0)
+
+
+def decode_json(data: bytes) -> Any:
+    """Decode a JSON body as strictly as :func:`decode_frame` decodes a frame.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, which
+    ``json.dumps(..., allow_nan=False)`` never writes; refusing them here
+    gives both codecs the same decode-side rule.  Raises ``ValueError``.
+    """
+    return json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
 
 
 def decode_frame(blob: bytes, *, max_raw_bytes: int | None = None) -> Any:

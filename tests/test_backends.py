@@ -463,13 +463,6 @@ class TestBackendFactory:
         with pytest.raises(ValidationError):
             create_backend("cassandra")
 
-    def test_legacy_import_path_still_works(self):
-        from repro.platform.storage import InMemoryStore as LegacyStore
-        from repro.platform.storage import StorageBackend as LegacyBackend
-
-        assert LegacyStore is InMemoryStore
-        assert issubclass(LegacyStore, LegacyBackend)
-
 
 class TestBusyContention:
     """Cross-process lock contention surfaces as a typed, named error."""

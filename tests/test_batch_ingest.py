@@ -2,8 +2,8 @@
 
 The service contract introduced with batched ingest: however a channel's
 event stream is chunked into ``ingest_chat_batch`` / ``ingest_plays_batch``
-calls — including the degenerate per-event chunking of ``ingest_live_chat``
-/ ``ingest_live_interactions`` — the *persisted* outcome is byte-identical:
+calls — including the degenerate per-event chunking into batches of one —
+the *persisted* outcome is byte-identical:
 same interaction log, same final red dots, same refined-highlight records,
 on every backend.  Hypothesis drives arbitrary event streams and arbitrary
 call partitions at both the window-builder level (exact fold) and the full
@@ -193,7 +193,7 @@ def _drive(service, video, chat, plays, chat_chunks, play_chunks, batched):
                 service.ingest_chat_batch(vid, chunk)
             else:
                 for message in chunk:
-                    service.ingest_live_chat(vid, [message])
+                    service.ingest_chat_batch(vid, [message])
         if play_cursor < len(plays):
             size = play_sizes.pop(0)
             chunk = plays[play_cursor : play_cursor + size]
@@ -202,7 +202,7 @@ def _drive(service, video, chat, plays, chat_chunks, play_chunks, batched):
                 service.ingest_plays_batch(vid, chunk)
             else:
                 for event in chunk:
-                    service.ingest_live_interactions(vid, [event])
+                    service.ingest_plays_batch(vid, [event])
     dots = service.end_live(vid, chat[-1].timestamp + 5.0 if chat else None)
     service.refine_video(vid)
     return dots

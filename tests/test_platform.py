@@ -9,7 +9,7 @@ from repro.platform.api import SimulatedStreamingAPI
 from repro.platform.crawler import ChatCrawler
 from repro.platform.extension import BrowserExtension, ProgressBarView
 from repro.platform.service import LightorWebService
-from repro.platform.storage import InMemoryStore
+from repro.platform.backends import InMemoryStore
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import ValidationError
 

@@ -19,13 +19,15 @@ Three properties matter:
 from __future__ import annotations
 
 import inspect
+from contextlib import contextmanager
+from itertools import product
 
 import pytest
 
 from repro.cli import main
 from repro.core.types import VideoChatLog
 from repro.loadgen import WorkloadSpec, run_reshard
-from repro.platform import codecs
+from repro.platform import codecs, surface
 from repro.platform.backends import SQLiteStore
 from repro.platform.client import LightorClient
 from repro.platform.cluster import ClusterFrontDoor
@@ -328,38 +330,191 @@ class TestReshardCLIAndRecovery:
         ) == 1
 
 
-class TestFrontDoorSurfaceParity:
-    SURFACE = [
-        "register_video", "request_red_dots", "log_interactions", "refine_video",
-        "get_red_dots", "latest_highlights", "highlight_history",
-        "get_interactions", "start_live", "ingest_live_chat",
-        "ingest_chat_batch", "ingest_live_interactions", "ingest_plays_batch",
-        "live_red_dots", "end_live",
-    ]
-    ADMIN = ["list_channels", "migrate_out", "forget_channel"]
+# ------------------------------------------------------------ surface contract
+# One table (repro.platform.surface) binds every front door; these tests hold
+# each transport to the in-process tier's answers, call for call.  A case
+# runs its family's script up to and including its verb, so every verb is
+# called with meaningful state behind it.
+_RECORDED = [
+    "register_video", "request_red_dots", "log_interactions", "get_interactions",
+    "refine_video", "get_red_dots", "highlight_history", "latest_highlights",
+]
+_LIVE = ["start_live", "ingest_chat_batch", "ingest_plays_batch", "live_red_dots", "end_live"]
+_ADMIN = ["list_channels", "migrate_out", "migrate_in", "forget_channel"]
+_GATEWAY = ["put_placement", "get_placement", "fence", "healthz", "metrics"]
+_TRANSPORTS = ["inproc", "gateway", "cluster"]
 
-    @staticmethod
-    def _shape(cls, name):
-        return [
-            (p.name, p.default, p.kind)
-            for p in inspect.signature(getattr(cls, name)).parameters.values()
-        ]
 
-    def test_every_front_door_mirrors_the_service_surface(self):
-        """Swapping ShardedLightorService, ClusterFrontDoor and LightorClient
-        behind the load harness must never change a call site: same method
-        names, same parameter names, same defaults."""
-        for name in self.SURFACE:
-            reference = self._shape(ShardedLightorService, name)
-            for cls in (ClusterFrontDoor, LightorClient):
-                assert self._shape(cls, name) == reference, (cls.__name__, name)
+@contextmanager
+def _transport(kind, fitted_initializer):
+    """``(front door, store_for)`` for one transport, torn down on exit.
 
-    def test_migration_admin_mirrors_service_to_client(self):
-        """The cluster data plane: the client speaks the same admin surface
-        the in-process service exposes (the front door intentionally does
-        not — it routes, the supervisor migrates)."""
-        for name in self.ADMIN:
-            assert self._shape(LightorClient, name) == self._shape(
-                ShardedLightorService, name
-            ), name
+    ``store_for`` reaches the owning backend directly, to seed chat the way
+    a pre-crawled recorded video has it.
+    """
+    if kind == "inproc":
+        tier = _sharded(fitted_initializer)
+        try:
+            yield tier, tier.store_for
+        finally:
+            tier.close()
+    elif kind == "gateway":
+        tier = _sharded(fitted_initializer)
+        try:
+            with GatewayThread(tier) as gateway:
+                with LightorClient(gateway.host, gateway.port) as client:
+                    yield client, tier.store_for
+        finally:
+            tier.close()
+    else:
+        tiers = [_sharded(fitted_initializer, 1) for _ in range(2)]
+        gateways = [GatewayThread(t, shard_index=i) for i, t in enumerate(tiers)]
+        try:
+            addresses = [gateway.start() for gateway in gateways]
+            placement = PlacementMap(2)
+            for address in addresses:
+                with LightorClient(*address) as admin:
+                    admin.put_placement(codecs.placement_map_to_dict(placement), addresses)
+            with ClusterFrontDoor(addresses) as front:
+                yield front, lambda vid: tiers[placement.shard_for(vid)].store_for(vid)
+        finally:
+            for gateway in gateways:
+                gateway.stop()
+            for tier in tiers:
+                tier.close()
+
+
+@pytest.fixture(scope="module")
+def recorded(dota2_dataset):
+    return dota2_dataset[4]
+
+
+@pytest.fixture(scope="module")
+def recorded_plays(fitted_initializer, recorded, crowd):
+    """Three play rounds around the recorded video's first red dot."""
+    with _transport("inproc", fitted_initializer) as (tier, store_for):
+        tier.register_video(recorded.video)
+        store_for(recorded.video.video_id).put_chat(
+            recorded.video.video_id, list(recorded.chat_log.messages)
+        )
+        dot = tier.request_red_dots(recorded.video.video_id, k=3)[0]
+    return [play for r in range(3) for play in crowd.collect_round(recorded.video, dot, r)]
+
+
+def _script(verb, front, store_for, recorded, plays, live):
+    """Every call of ``verb``'s family up to and including it, with results."""
+    results = []
+    if verb in _RECORDED:
+        video, steps = recorded.video, _RECORDED[: _RECORDED.index(verb) + 1]
+        args = {
+            "register_video": (video,),
+            "request_red_dots": (video.video_id, 3),
+            "log_interactions": (video.video_id, plays),
+        }
+    else:
+        video, steps = live.video, _LIVE[: _LIVE.index(verb) + 1]
+        args = {
+            "start_live": (video,),
+            "ingest_chat_batch": (video.video_id, live.messages[:200], True),
+            "ingest_plays_batch": (video.video_id, plays[:40]),
+            "end_live": (video.video_id, video.duration),
+        }
+    for step in steps:
+        results.append(getattr(front, step)(*args.get(step, (video.video_id,))))
+        if step == "register_video":
+            store_for(video.video_id).put_chat(
+                video.video_id, list(recorded.chat_log.messages)
+            )
+    return results
+
+
+class TestSurfaceContract:
+    @pytest.mark.parametrize(
+        "transport, verb", list(product(_TRANSPORTS, _RECORDED + _LIVE))
+    )
+    def test_routed_verb_answers_like_the_inproc_tier(
+        self, transport, verb, fitted_initializer, recorded, recorded_plays, channel_log
+    ):
+        with _transport("inproc", fitted_initializer) as reference:
+            expected = _script(verb, *reference, recorded, recorded_plays, channel_log)
+        with _transport(transport, fitted_initializer) as subject:
+            actual = _script(verb, *subject, recorded, recorded_plays, channel_log)
+        assert actual == expected
+        assert any(result for result in actual) or verb in ("register_video", "start_live")
+
+    @pytest.mark.parametrize("verb", _ADMIN)
+    def test_admin_verb_answers_like_the_service_it_calls(
+        self, verb, fitted_initializer, channel_log
+    ):
+        """The migration choreography over the wire (source gateway out,
+        destination gateway in, source forget) answers what the in-process
+        service methods the gateway calls answer."""
+        video = channel_log.video
+        steps = _ADMIN[: _ADMIN.index(verb) + 1]
+
+        def run(source, destination, name_of):
+            source.start_live(video)
+            source.ingest_chat_batch(video.video_id, channel_log.messages[:120], True)
+            results = []
+            for step in steps:
+                side = destination if step == "migrate_in" else source
+                if step == "list_channels":
+                    results.append(getattr(side, name_of(step))())
+                elif step == "migrate_in":
+                    out = results[1]
+                    results.append(getattr(side, name_of(step))(out["bundle"], out["was_live"]))
+                else:
+                    results.append(getattr(side, name_of(step))(video.video_id))
+            return results
+
+        callee = {entry.name: entry.calls.rpartition(".")[2] for entry in surface.VERBS}
+        src, dst = _sharded(fitted_initializer, 1), _sharded(fitted_initializer, 1)
+        expected = run(src, dst, callee.get)
+        for tier in (src, dst):
+            tier.close()
+        with _transport("gateway", fitted_initializer) as (source, _), _transport(
+            "gateway", fitted_initializer
+        ) as (destination, _):
+            assert run(source, destination, str) == expected
+
+    def test_gateway_verbs_round_trip(self, fitted_initializer, channel_log):
+        placement = codecs.placement_map_to_dict(PlacementMap(2))
+        tier = _sharded(fitted_initializer, 1)
+        try:
+            with GatewayThread(tier, shard_index=0) as gateway, LightorClient(
+                gateway.host, gateway.port
+            ) as client:
+                addresses = [[gateway.host, gateway.port], ["127.0.0.1", 1]]
+                assert client.put_placement(placement, addresses) == {
+                    "installed": True, "epoch": 0,
+                }
+                assert client.get_placement() == {
+                    "placement": placement, "addresses": addresses, "shard_index": 0,
+                }
+                assert client.fence() is True
+                assert client.healthz()["placement_epoch"] == 0
+                text = client.metrics()
+        finally:
+            tier.close()
+        routes = {verb.name: verb.route for verb in surface.VERBS}
+        for name in _GATEWAY[:-1]:
+            assert f'lightor_gateway_requests_total{{route="{routes[name]}"}} 1' in text
+
+    def test_every_verb_has_a_contract_case(self):
+        assert sorted(_RECORDED + _LIVE + _ADMIN + _GATEWAY) == sorted(
+            verb.name for verb in surface.VERBS
+        )
+        assert sorted(_RECORDED + _LIVE) == sorted(verb.name for verb in surface.ROUTED)
+
+    def test_bound_methods_are_plain_class_attributes(self):
+        """Layer tracing wraps these by name in each class's own namespace;
+        the cluster front door routes and never migrates."""
+        for cls, verbs in (
+            (LightorClient, surface.VERBS),
+            (ShardedLightorService, surface.ROUTED),
+            (ClusterFrontDoor, surface.ROUTED),
+        ):
+            for verb in verbs:
+                assert inspect.isfunction(vars(cls)[verb.name]), (cls, verb.name)
+        for name in _ADMIN:
             assert not hasattr(ClusterFrontDoor, name), name

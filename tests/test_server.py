@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import http.client
 import socket
+import struct
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro.cli import main
+from repro.core.types import ChatMessage
 from repro.platform import codecs, wire
 from repro.platform.backends import SQLiteStore
 from repro.platform.client import (
@@ -605,6 +608,97 @@ class _OneShotStub:
         assert not self.thread.is_alive()
 
 
+class _RecordingService:
+    """A stub front door that records every ``end_live`` it is asked for."""
+
+    n_shards = 1
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def end_live(self, video_id, duration=None):
+        self.calls.append((video_id, duration))
+        return []
+
+
+class TestTransferEncoding:
+    def test_a_chunked_request_is_a_501_and_never_served(self):
+        service = _RecordingService()
+        gateway = GatewayThread(service)
+        host, port = gateway.start()
+        try:
+            answer = _exchange(
+                host, port,
+                b"POST /live/chan/end HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b'11\r\n{"duration": 5.0}\r\n0\r\n\r\n',
+            )
+        finally:
+            gateway.stop()
+        assert answer.startswith(b"HTTP/1.1 501 ")
+        assert b"Connection: close" in answer
+        assert answer.count(b"HTTP/1.1 ") == 1  # the chunks were not read as a request
+        assert service.calls == []
+
+
+def _reframe(blob: bytes, old: bytes, new: bytes) -> bytes:
+    """A valid frame whose (uncompressed) payload has ``old`` swapped for ``new``."""
+    header, payload = blob[: wire.HEADER_SIZE], blob[wire.HEADER_SIZE :]
+    assert payload.count(old) == 1
+    payload = payload.replace(old, new)
+    crc = zlib.crc32(payload, zlib.crc32(header[: wire.HEADER_SIZE - 4])) & 0xFFFFFFFF
+    return header[: wire.HEADER_SIZE - 4] + struct.pack("!I", crc) + payload
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinities are not JSON; both codecs refuse them at decode."""
+
+    def _post(self, client, path, body, content_type):
+        connection = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            connection.request("POST", path, body=body, headers={"Content-Type": content_type})
+            response = connection.getresponse()
+            return response.status, response.read()
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constants_are_a_400(self, served, dota2_dataset, constant):
+        client, _ = served
+        video = dota2_dataset[2].video
+        client.start_live(video)
+        status, body = self._post(
+            client, f"/live/{video.video_id}/end",
+            f'{{"duration": {constant}}}'.encode(), "application/json",
+        )
+        assert status == 400
+        assert b"not a JSON number" in body
+        # Nothing wedged: the channel still closes normally.
+        assert isinstance(client.end_live(video.video_id, video.duration), list)
+
+    @pytest.mark.parametrize("leaf", ["end", "chat"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_binary_floats_are_a_400(self, served, dota2_dataset, leaf, bad):
+        client, _ = served
+        video = dota2_dataset[2].video
+        client.start_live(video)
+        if leaf == "end":
+            payload = {"duration": 1.5}
+        else:  # two records: the timestamps travel as one float column
+            messages = [ChatMessage(1.5, "a", "gg"), ChatMessage(2.0, "b", "wp")]
+            payload = {"messages": [codecs.chat_message_to_dict(m) for m in messages]}
+        blob = _reframe(
+            wire.encode_frame(payload, compress_threshold=None),
+            struct.pack("!d", 1.5), struct.pack("!d", bad),
+        )
+        status, body = self._post(
+            client, f"/live/{video.video_id}/{leaf}", blob, wire.WIRE_CONTENT_TYPE
+        )
+        assert status == 400
+        assert b"non-finite float" in body
+        assert isinstance(client.end_live(video.video_id, video.duration), list)
+
+
 class TestClientReplayRules:
     """What the client does when a kept-alive connection went stale."""
 
@@ -762,14 +856,12 @@ class TestBoundedRejectionLabel:
     def test_channels_past_the_named_ones_share_the_other_series(self):
         gateway = LightorGateway(_ChannelBlockingService(), max_pending_per_channel=1)
         channels = [f"ch{i}" for i in range(_NAMED_REJECTED_CHANNELS + 5)]
-        route, handler = gateway._resolve("GET", "/live/x/dots")
+        _, verb, _ = gateway._resolve("GET", "/live/x/dots")
         refusals = 0
         for channel in channels:
             gateway._channel_in_flight[channel] = 1  # its budget is spent
             for _ in range(2):
-                status, _, _ = gateway._call(
-                    route, handler, f"/live/{channel}/dots", {}, b"", "none"
-                )
+                status, _, _ = gateway._call(verb, channel, {}, b"", "none")
                 assert status == 503
                 refusals += 1
         series = [

@@ -107,13 +107,13 @@ def _drive_channel(service, log, chunks, poll=None):
     video_id = log.video.video_id
     pending = list(chunks)
     for index, message in enumerate(log.messages, start=1):
-        service.ingest_live_chat(video_id, [message])
+        service.ingest_chat_batch(video_id, [message])
         if index % INTERACTION_CHUNK_EVERY == 0 and pending:
-            service.ingest_live_interactions(video_id, pending.pop(0))
+            service.ingest_plays_batch(video_id, pending.pop(0))
             if poll is not None:
                 poll(video_id)
     for chunk in pending:
-        service.ingest_live_interactions(video_id, chunk)
+        service.ingest_plays_batch(video_id, chunk)
     return service.end_live(video_id, log.video.duration)
 
 
@@ -227,7 +227,7 @@ class TestShardedShutdown:
         for log in logs.values():
             service.start_live(log.video)
             for message in log.messages:
-                service.ingest_live_chat(log.video.video_id, [message])
+                service.ingest_chat_batch(log.video.video_id, [message])
         service.close()  # no end_live calls — shutdown finalizes the sessions
 
         for video_id in logs:

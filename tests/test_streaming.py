@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import time
+
 import pytest
 
 from repro.core.config import LightorConfig
@@ -17,7 +21,7 @@ from repro.core.types import (
 from repro.platform.crawler import ChatCrawler
 from repro.platform.api import SimulatedStreamingAPI
 from repro.platform.service import LightorWebService
-from repro.platform.storage import InMemoryStore
+from repro.platform.backends import InMemoryStore
 from repro.simulation.chat import interleave_live
 from repro.streaming import (
     DotEmitted,
@@ -28,6 +32,7 @@ from repro.streaming import (
     StreamingExtractor,
     StreamingInitializer,
 )
+from repro.streaming.state import IncrementalWindowState
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import ValidationError
 
@@ -338,7 +343,7 @@ class TestServiceLiveIngest:
         labelled = dota2_dataset[2]
         chat_log = labelled.chat_log
         service.start_live(labelled.video)
-        events = service.ingest_live_chat(chat_log.video.video_id, chat_log.messages)
+        events = service.ingest_chat_batch(chat_log.video.video_id, chat_log.messages)
         assert any(isinstance(e, DotEmitted) for e in events)
         assert service.live_red_dots(chat_log.video.video_id)
         final = service.end_live(chat_log.video.video_id, chat_log.video.duration)
@@ -349,11 +354,11 @@ class TestServiceLiveIngest:
     def test_live_interactions_are_also_logged(self, service, dota2_dataset):
         labelled = dota2_dataset[2]
         service.start_live(labelled.video)
-        service.ingest_live_chat(
+        service.ingest_chat_batch(
             labelled.video.video_id, labelled.chat_log.messages[:500]
         )
         interactions = _viewer_round(100.0, n_viewers=3)
-        service.ingest_live_interactions(labelled.video.video_id, interactions)
+        service.ingest_plays_batch(labelled.video.video_id, interactions)
         assert len(service.store.get_interactions(labelled.video.video_id)) == len(
             interactions
         )
@@ -364,11 +369,11 @@ class TestServiceLiveIngest:
         later overwrite the correct stored dots."""
         labelled = dota2_dataset[2]
         with pytest.raises(ValidationError, match="start_live"):
-            service.ingest_live_chat(
+            service.ingest_chat_batch(
                 labelled.video.video_id, labelled.chat_log.messages[:10]
             )
         with pytest.raises(ValidationError, match="start_live"):
-            service.ingest_live_interactions(
+            service.ingest_plays_batch(
                 labelled.video.video_id, _viewer_round(100.0, n_viewers=1)
             )
 
@@ -378,7 +383,7 @@ class TestServiceLiveIngest:
         labelled = dota2_dataset[2]
         chat_log = labelled.chat_log
         service.start_live(labelled.video)
-        service.ingest_live_chat(chat_log.video.video_id, chat_log.messages)
+        service.ingest_chat_batch(chat_log.video.video_id, chat_log.messages)
         first = service.end_live(chat_log.video.video_id, chat_log.video.duration)
         # Ending again returns the persisted dots instead of raising, and the
         # channel's provisional view keeps serving them.
@@ -386,3 +391,51 @@ class TestServiceLiveIngest:
         assert service.live_red_dots(chat_log.video.video_id) == first
         with pytest.raises(ValidationError):
             service.end_live("never-seen")
+
+    def test_far_future_message_and_close_return_at_once(self, service, dota2_dataset):
+        """A chat gap costs one step, however long: one timestamp must not
+        hold a shard for hours walking empty window indices."""
+        video = dota2_dataset[2].video
+        service.start_live(video)
+        started = time.perf_counter()
+        service.ingest_chat_batch(video.video_id, [ChatMessage(3.0, "a", "gg")])
+        service.ingest_chat_batch(video.video_id, [ChatMessage(1e12, "b", "gg")])
+        assert time.perf_counter() - started < 1.0
+        started = time.perf_counter()
+        service.end_live(video.video_id, 2e12)
+        assert time.perf_counter() - started < 1.0
+
+
+class TestSparseStreams:
+    """Gaps in the chat are skipped in one step, changing no window."""
+
+    def test_a_gap_spanning_one_batch_folds_at_once(self):
+        state = IncrementalWindowState(window_size=25.0, stride=10.0)
+        started = time.perf_counter()
+        state.add_batch([ChatMessage(5.0, "a", "gg"), ChatMessage(1e12, "b", "wp")])
+        state.finalize(2e12)
+        assert time.perf_counter() - started < 1.0
+
+    def test_skipping_a_gap_changes_no_window(self):
+        """Sealed windows and the snapshot, pinned from the per-index walk."""
+        state = IncrementalWindowState(window_size=25.0, stride=10.0)
+        words = ["gg", "wp", "nice", "lol", "wow"]
+        sealed = []
+        for i, t in enumerate([1.0, 2.5, 14.0, 30.0]):
+            sealed += state.add(ChatMessage(t, f"u{i}", words[i]))
+        sealed += state.add_batch(
+            [ChatMessage(t, f"v{i}", words[i]) for i, t in enumerate([999_990.0, 999_995.0, 1e6])]
+        )
+        assert [(s.start, s.end, s.message_count) for s in sealed] == [
+            (0.0, 25.0, 3), (10.0, 35.0, 2), (20.0, 45.0, 1), (30.0, 55.0, 1),
+            (999_970.0, 999_995.0, 1),
+        ]
+        digest = hashlib.sha256(json.dumps(state.snapshot(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "cd8f4168efac91891c04f27e01b822441d85e2ca687f9450c118e9ee833476a7"
+        )
+
+    @pytest.mark.parametrize("timestamp", [float("inf"), float("nan")])
+    def test_non_finite_timestamps_are_rejected(self, timestamp):
+        with pytest.raises(ValidationError):
+            ChatMessage(timestamp, "a", "gg")

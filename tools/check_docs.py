@@ -8,11 +8,14 @@ with ``PYTHONPATH=src python tools/check_docs.py``):
 2. **Doctest examples** — every fenced code block containing ``>>>`` lines
    is executed with :mod:`doctest`; examples in the docs are promises, so
    they run against the real package.
-3. **CLI example blocks** — fenced blocks wrapped in
+3. **Generated blocks** — blocks wrapped in
    ``<!-- cli:<subcommand> --help -->`` … ``<!-- /cli -->`` markers must
-   equal the live ``--help`` output of that subcommand.  ``--fix``
-   regenerates them in place, which is how the blocks were produced — the
-   docs can never drift from the parser again.
+   equal the live ``--help`` output of that subcommand (as a fenced
+   block), and blocks wrapped in ``<!-- surface -->`` …
+   ``<!-- /surface -->`` the endpoint table generated from
+   ``repro.platform.surface``.  ``--fix`` regenerates them in place, which
+   is how the blocks were produced — the docs can never drift from the
+   parser or the service surface again.
 
 Exit status is non-zero when any check fails (the CI docs job gates on it).
 """
@@ -34,8 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 _LINK_PATTERN = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_PATTERN = re.compile(r"^```")
-_CLI_OPEN = re.compile(r"<!--\s*cli:([a-z-]+)\s+--help\s*-->")
-_CLI_CLOSE = "<!-- /cli -->"
+_CLI_OPEN = re.compile(r"<!--\s*cli:([a-z-]+)\s+--help\s*-->|<!--\s*(surface)\s*-->")
 
 
 def doc_files() -> list[Path]:
@@ -101,7 +103,7 @@ def check_doctests(path: Path) -> list[str]:
     return errors
 
 
-# ------------------------------------------------------------ CLI help blocks
+# ------------------------------------------------------------ generated blocks
 def cli_help(subcommand: str) -> str:
     """The live ``--help`` text of one ``lightor`` subcommand."""
     from repro.cli import build_parser
@@ -113,8 +115,42 @@ def cli_help(subcommand: str) -> str:
     raise KeyError(f"no such subcommand: {subcommand!r}")
 
 
+def endpoint_table() -> list[str]:
+    """The endpoint table of ``docs/serving.md``, one row per surface verb."""
+    from repro.platform.surface import VERBS
+
+    lines = [
+        "| Method & path | Call | Route label | Body → response |",
+        "| --- | --- | --- | --- |",
+    ]
+    for verb in VERBS:
+        path, sent = verb.path, "`{}`" if verb.method == "POST" else ""
+        fields = [f"{arg.name}: {arg.codec.shape}" for arg in verb.args if arg.at == "field"]
+        for arg in verb.args:
+            if arg.at == "query":
+                path += f"?{arg.name}={arg.codec.shape}"
+            elif arg.at == "body":
+                sent = arg.codec.shape
+        if fields:
+            sent = f"`{{{', '.join(fields)}}}`"
+        key, shape = verb.result.key, verb.result.codec.shape
+        answer = shape if key is None else "`{%s%s%s}`" % (
+            key, f": {shape}" if shape else "", ", ingested" if verb.result.counts else ""
+        )
+        row = f"| `{verb.method} {path}` | `{verb.name}` | `{verb.route}` | {sent} → {answer} |"
+        lines.append(row.replace("|  → ", "| → "))
+    return lines
+
+
+def generated_block(name: str) -> tuple[str, list[str]]:
+    """The closing marker and current lines of one generated block."""
+    if name == "surface":
+        return "<!-- /surface -->", endpoint_table()
+    return "<!-- /cli -->", ["```text", *cli_help(name).splitlines(), "```"]
+
+
 def sync_cli_blocks(path: Path, fix: bool) -> list[str]:
-    """Compare (or with ``fix``, rewrite) the marked CLI help blocks."""
+    """Compare (or with ``fix``, rewrite) the marked generated blocks."""
     lines = path.read_text().splitlines()
     errors = []
     output = []
@@ -127,38 +163,38 @@ def sync_cli_blocks(path: Path, fix: bool) -> list[str]:
         if not match:
             index += 1
             continue
-        subcommand = match.group(1)
+        name = match.group(1) or match.group(2)
+        close, expected = generated_block(name)
         try:
             close_offset = next(
-                offset for offset, later in enumerate(lines[index:]) if later.strip() == _CLI_CLOSE
+                offset for offset, later in enumerate(lines[index:]) if later.strip() == close
             )
         except StopIteration:
-            errors.append(f"{path.relative_to(REPO_ROOT)}:{index + 1}: unterminated cli block")
+            errors.append(f"{path.relative_to(REPO_ROOT)}:{index + 1}: unterminated {name} block")
             index += 1
             continue
         block = lines[index + 1 : index + close_offset]
-        expected = ["```text", *cli_help(subcommand).splitlines(), "```"]
         if block != expected:
             if fix:
                 changed = True
             else:
                 errors.append(
-                    f"{path.relative_to(REPO_ROOT)}:{index + 1}: stale `{subcommand} --help` "
+                    f"{path.relative_to(REPO_ROOT)}:{index + 1}: stale `{name}` "
                     "block (run: PYTHONPATH=src python tools/check_docs.py --fix)"
                 )
         output.extend(expected if fix else block)
-        output.append(_CLI_CLOSE)
+        output.append(close)
         index += close_offset + 1
     if fix and changed:
         path.write_text("\n".join(output) + "\n")
-        print(f"regenerated CLI blocks in {path.relative_to(REPO_ROOT)}")
+        print(f"regenerated blocks in {path.relative_to(REPO_ROOT)}")
     return errors
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--fix", action="store_true", help="regenerate the CLI --help blocks in place"
+        "--fix", action="store_true", help="regenerate the generated blocks in place"
     )
     args = parser.parse_args(argv)
 
@@ -172,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         for error in errors:
             print(f"  {error}")
         return 1
-    print(f"docs OK: {len(doc_files())} file(s) — links, doctests and CLI blocks in sync")
+    print(f"docs OK: {len(doc_files())} file(s) — links, doctests and generated blocks in sync")
     return 0
 
 
