@@ -447,11 +447,11 @@ def test_bench_reshard_pause(fitted_initializer, workload):
     ``BENCH_load.json``.
 
     Byte-equality against the undisturbed sequential oracle is asserted
-    unconditionally (``run_reshard`` replays the identical workload into a
+    unconditionally (``run_load`` replays the identical workload into a
     single-shard tier and fingerprints every channel); the pause cap arms
     only where the honest measurement can mean something.
     """
-    from repro.loadgen import run_reshard
+    from repro.loadgen import reshard_to
 
     rebatched = workload.rebatched(RESHARD_BATCH)
     reshard_after = max(2, len(rebatched.batches()) // 3)
@@ -460,26 +460,39 @@ def test_bench_reshard_pause(fitted_initializer, workload):
     grid: dict[str, dict] = {}
     for transport in ("inproc", "cluster"):
         for old_shards, new_shards in ((2, 3), (3, 2)):
-            report = run_reshard(
+            report = run_load(
                 workload.spec,
                 fitted_initializer,
                 shards=old_shards,
-                to_shards=new_shards,
-                reshard_after=reshard_after,
                 workers=WORKERS,
                 backend="memory",
                 transport=transport,
                 workload=rebatched,
+                schedule=[(reshard_after, reshard_to(new_shards))],
             )
+            (fault,) = report.faults
             key = f"{transport}:{old_shards}->{new_shards}"
-            grid[key] = report.to_dict()
+            grid[key] = {
+                "transport": transport,
+                "backend": "memory",
+                "old_shards": fault.old_shards,
+                "new_shards": fault.new_shards,
+                "reshard_after": fault.after,
+                "total_batches": report.total_batches,
+                "channels": report.channels,
+                "total_events": report.total_events,
+                "channels_moved": fault.channels_moved,
+                "epoch": fault.epoch,
+                "pause_p99_ms": round(fault.pause_p99_ms, 3),
+                "divergences": list(report.divergences),
+            }
             print(
-                f"  reshard {key:<14s} moved {report.channels_moved}/"
+                f"  reshard {key:<14s} moved {fault.channels_moved}/"
                 f"{report.channels} channel(s), pause p99 "
-                f"{report.pause_p99_ms:>8,.1f} ms"
+                f"{fault.pause_p99_ms:>8,.1f} ms"
             )
             assert report.ok, f"{key}: divergences {report.divergences}"
-            assert report.new_shards == new_shards and report.epoch > 0
+            assert fault.new_shards == new_shards and fault.epoch > 0
     worst = max(row["pause_p99_ms"] for row in grid.values())
     print(f"  worst pause p99 {worst:,.1f} ms on {CPUS} usable CPU(s)")
     _save(

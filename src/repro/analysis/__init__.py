@@ -3,14 +3,14 @@
 The serving stack's correctness rests on conventions no generic linter
 knows: strict JSON on every wire surface (``allow_nan=False``), the typed
 error hierarchy (``CodecError ⊂ ValidationError ⊂ ValueError``),
-lock-guarded mutation in the shard tier, never blocking the asyncio
-event loop, and decode-time rejection of unknown frame versions.  This
+lock-guarded mutation in the shard tier, closed resources, and
+decode-time rejection of unknown frame versions.  This
 package checks those contracts statically — the violations the dynamic
 suites (hypothesis, oracles, chaos runs) can only hit probabilistically.
 
-* :mod:`rules <repro.analysis.rules>` — the catalogue, R001–R006
-* :mod:`pragmas <repro.analysis.pragmas>` — ``# guarded-by:``,
-  ``# runs-on: event-loop`` and ``# lintor: disable=`` comment syntax
+* :mod:`rules <repro.analysis.rules>` — the catalogue, R002–R006
+* :mod:`pragmas <repro.analysis.pragmas>` — ``# guarded-by:`` and
+  ``# lintor: disable=`` comment syntax
 * :mod:`engine <repro.analysis.engine>` — file walking, suppression
 * :mod:`baseline <repro.analysis.baseline>` — the shrink-only ledger
 

@@ -1,6 +1,6 @@
 """Comment-level annotations understood by lintor.
 
-Three comment forms carry analyzer state, collected with :mod:`tokenize`
+Two comment forms carry analyzer state, collected with :mod:`tokenize`
 so they survive anywhere the grammar allows a comment:
 
 * ``# lintor: disable=R003 reason=payload is a finite fingerprint`` —
@@ -8,11 +8,7 @@ so they survive anywhere the grammar allows a comment:
   a disable without one is itself a finding (rule R000).
 * ``# guarded-by: _lock`` — trailing an attribute assignment: every
   other access to that attribute must happen inside ``with self._lock:``
-  (or in ``__init__``).  The special guard name ``event-loop`` confines
-  the attribute to the asyncio event loop instead of a lock.
-* ``# runs-on: event-loop`` — trailing a ``def`` line: marks a *sync*
-  function as loop-confined, so it may touch ``event-loop``-guarded
-  attributes but must never be handed to a thread or executor.
+  (or in ``__init__``).
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ _DISABLE_RE = re.compile(
     r"#\s*lintor:\s*disable=(?P<rules>[A-Za-z0-9,\s]*?)(?:\s+reason=(?P<reason>.*))?$"
 )
 _GUARDED_RE = re.compile(r"#\s*guarded-by:\s*(?P<guard>[A-Za-z_][A-Za-z0-9_\-]*)")
-_RUNS_ON_RE = re.compile(r"#\s*runs-on:\s*event-loop\b")
 _RULE_CODE_RE = re.compile(r"^R\d{3}$")
 
 
@@ -42,8 +37,6 @@ class FileComments:
     malformed: list[tuple[int, str]] = field(default_factory=list)
     #: line -> guard name for ``# guarded-by:`` declarations
     guards: dict[int, str] = field(default_factory=dict)
-    #: lines carrying ``# runs-on: event-loop``
-    loop_marked: set[int] = field(default_factory=set)
 
 
 def collect_comments(source: str) -> FileComments:
@@ -70,9 +63,6 @@ def collect_comments(source: str) -> FileComments:
         match = _GUARDED_RE.search(text)
         if match:
             comments.guards[line] = match.group("guard")
-            continue
-        if _RUNS_ON_RE.search(text):
-            comments.loop_marked.add(line)
     return comments
 
 

@@ -1,4 +1,4 @@
-"""The lintor rule catalogue (R001–R006).
+"""The lintor rule catalogue (R002–R006).
 
 Each rule is a function from a :class:`~repro.analysis.context.ModuleContext`
 to a list of findings.  The rules encode this repo's contracts — the
@@ -8,9 +8,8 @@ linter knows about:
 ====  ===================  ====================================================
 Code  Name                 Contract
 ====  ===================  ====================================================
-R001  event-loop-blocking  no blocking calls inside ``async def`` bodies
 R002  guarded-by           ``# guarded-by:`` attributes only touched under
-                           their lock (or on the event loop)
+                           their lock
 R003  strict-json          ``json.dumps`` passes ``allow_nan=False``;
                            wire-facing ``json.loads`` lives in decode helpers
 R004  typed-errors         no bare ``raise ValueError`` / swallowed
@@ -22,7 +21,9 @@ R006  frame-versioning     magic/version constants come with decode-time
 ====  ===================  ====================================================
 
 R000 is reserved for analyzer-level problems (syntax errors, malformed
-pragmas) and is emitted by the engine, not listed here.
+pragmas) and is emitted by the engine, not listed here.  R001 (blocking
+calls inside ``async def`` bodies) was retired with the asyncio gateway;
+its code is not reused.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = ["RULES", "RULE_DOCS"]
 #: rule code -> one-line description (rendered by ``repro lint --rules``)
 RULE_DOCS: dict[str, str] = {
     "R000": "analyzer integrity: files must parse and lintor pragmas must be well-formed",
-    "R001": "event-loop-blocking: no blocking calls inside async def bodies",
     "R002": "guarded-by: annotated attributes only accessed under their declared lock",
     "R003": "strict-json: json.dumps needs allow_nan=False; wire json.loads needs a decode helper",
     "R004": "typed-errors: no bare raise ValueError / except Exception: pass in platform|loadgen",
@@ -60,96 +60,7 @@ def _finding(ctx: ModuleContext, node: ast.AST, rule: str, message: str, fixit: 
 
 
 # ---------------------------------------------------------------------------
-# R001 — event-loop-blocking
-
-
-#: canonical dotted name -> why it blocks / what to do instead
-_BLOCKING_CALLS: dict[str, str] = {
-    "time.sleep": "use `await asyncio.sleep(...)` instead",
-    "sqlite3.connect": "open connections on the worker pool, never on the loop",
-    "socket.socket": "use asyncio transports or run it on the worker pool",
-    "socket.create_connection": "use asyncio.open_connection or the worker pool",
-    "socket.getaddrinfo": "use `await loop.getaddrinfo(...)`",
-    "zlib.compress": "compression over unbounded buffers is CPU-bound; offload via run_in_executor",
-    "zlib.decompress": "decompression over unbounded buffers is CPU-bound; offload via run_in_executor",
-    "subprocess.run": "spawn processes with asyncio.create_subprocess_exec or the worker pool",
-    "subprocess.check_output": "spawn processes with asyncio.create_subprocess_exec or the worker pool",
-    "subprocess.check_call": "spawn processes with asyncio.create_subprocess_exec or the worker pool",
-    "subprocess.call": "spawn processes with asyncio.create_subprocess_exec or the worker pool",
-    "open": "file I/O blocks the loop; read/write on the worker pool",
-}
-
-#: ``self.<attr>.method(...)`` roots that reach the shard tier: these calls
-#: take shard locks and touch storage, so coroutine bodies must offload
-#: them via ``run_in_executor`` (the gateway's `_execute` pattern).
-_BLOCKING_SELF_ROOTS = {"service", "backend", "client", "storage"}
-
-
-def check_r001(ctx: ModuleContext) -> list[Finding]:
-    findings: list[Finding] = []
-    for func in ast.walk(ctx.tree):
-        if not isinstance(func, ast.AsyncFunctionDef):
-            continue
-        for node in _walk_coroutine_body(func):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = ctx.resolve_call(node.func)
-            if resolved in _BLOCKING_CALLS:
-                findings.append(
-                    _finding(
-                        ctx,
-                        node,
-                        "R001",
-                        f"blocking call {resolved}() inside async def {func.name}",
-                        _BLOCKING_CALLS[resolved],
-                    )
-                )
-                continue
-            root = _self_call_root(node.func)
-            if root in _BLOCKING_SELF_ROOTS:
-                findings.append(
-                    _finding(
-                        ctx,
-                        node,
-                        "R001",
-                        f"self.{root}.{node.func.attr}(...) blocks inside async def "
-                        f"{func.name}: shard-tier calls take locks and touch storage",
-                        "offload via `await loop.run_in_executor(pool, ...)` like the gateway's _execute",
-                    )
-                )
-    return findings
-
-
-def _walk_coroutine_body(func: ast.AsyncFunctionDef):
-    """Walk a coroutine body, skipping nested *sync* defs (those run
-    wherever they are called — typically on the worker pool) but
-    descending into nested coroutines and lambdas."""
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, ast.FunctionDef):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _self_call_root(func: ast.expr) -> str | None:
-    """Return ``root`` for calls shaped ``self.<root>.<method>(...)``."""
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Attribute)
-        and isinstance(func.value.value, ast.Name)
-        and func.value.value.id == "self"
-    ):
-        return func.value.attr
-    return None
-
-
-# ---------------------------------------------------------------------------
 # R002 — guarded-by
-
-
-_LOOP_GUARD = "event-loop"
 
 
 def check_r002(ctx: ModuleContext) -> list[Finding]:
@@ -158,11 +69,6 @@ def check_r002(ctx: ModuleContext) -> list[Finding]:
         return []
     findings: list[Finding] = []
     declaration_lines = {line for _, line in guards.values()}
-    loop_marked_funcs: set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.lineno in ctx.comments.loop_marked:
-                loop_marked_funcs.add(node.name)
     for node in ast.walk(ctx.tree):
         if not (
             isinstance(node, ast.Attribute)
@@ -177,22 +83,6 @@ def check_r002(ctx: ModuleContext) -> list[Finding]:
         func = ctx.enclosing_function(node)
         if func is not None and func.name in ("__init__", "__post_init__"):
             continue
-        if guard == _LOOP_GUARD:
-            if isinstance(func, ast.AsyncFunctionDef):
-                continue
-            if func is not None and func.name in loop_marked_funcs:
-                continue
-            findings.append(
-                _finding(
-                    ctx,
-                    node,
-                    "R002",
-                    f"self.{node.attr} is guarded-by event-loop but accessed in "
-                    f"{'sync function ' + func.name if func else 'module scope'}",
-                    "touch it only from coroutines or functions marked `# runs-on: event-loop`",
-                )
-            )
-            continue
         if not _inside_with_lock(ctx, node, guard):
             findings.append(
                 _finding(
@@ -204,7 +94,6 @@ def check_r002(ctx: ModuleContext) -> list[Finding]:
                     f"wrap the access in `with self.{guard}:` (or move it into __init__)",
                 )
             )
-    findings.extend(_check_loop_marked_never_offloaded(ctx, loop_marked_funcs))
     return findings
 
 
@@ -245,49 +134,6 @@ def _inside_with_lock(ctx: ModuleContext, node: ast.AST, guard: str) -> bool:
         if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return False
     return False
-
-
-def _check_loop_marked_never_offloaded(
-    ctx: ModuleContext, loop_marked_funcs: set[str]
-) -> list[Finding]:
-    """`# runs-on: event-loop` functions must never become thread/executor
-    targets — that would move loop-confined state onto another thread."""
-    if not loop_marked_funcs:
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        offloaded: list[ast.expr] = []
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
-            "run_in_executor",
-            "submit",
-        ):
-            offloaded.extend(node.args)
-        resolved = ctx.resolve_call(node.func)
-        if resolved == "threading.Thread" or (
-            isinstance(node.func, ast.Name) and node.func.id == "Thread"
-        ):
-            offloaded.extend(
-                kw.value for kw in node.keywords if kw.arg == "target"
-            )
-        for arg in offloaded:
-            name = None
-            if isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name):
-                name = arg.attr
-            elif isinstance(arg, ast.Name):
-                name = arg.id
-            if name in loop_marked_funcs:
-                findings.append(
-                    _finding(
-                        ctx,
-                        node,
-                        "R002",
-                        f"{name} runs-on the event loop but is handed to a thread/executor",
-                        "loop-confined functions must stay on the loop; copy the data instead",
-                    )
-                )
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +414,6 @@ def _references_name(expr: ast.expr, name: str) -> bool:
 
 #: the rule registry, in report order
 RULES: dict[str, Callable[[ModuleContext], list[Finding]]] = {
-    "R001": check_r001,
     "R002": check_r002,
     "R003": check_r003,
     "R004": check_r004,

@@ -17,6 +17,8 @@ Sub-commands:
   ``--kill-after N --recover`` the run becomes a chaos test: the tier is
   killed mid-run, rebuilt from its durable checkpoints, and the finished
   run is compared byte-for-byte against an uninterrupted one.
+  ``--reshard-at N --reshard-to M`` reshards the tier online; both faults
+  can be scheduled in one run.
 * ``lightor recover`` — rebuild the live sessions a crashed (or killed)
   ``lightor stream``/``lightor load`` run left checkpointed in its SQLite
   databases, report them, and optionally finalize them.
@@ -344,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument(
         "--kill-after", type=int, default=None, metavar="N",
         help="chaos mode: kill the service tier after N ingest batches "
-        "(requires --recover and --backend sqlite --db-path)",
+        "(requires --recover and --backend sqlite --db-path; transports "
+        "inproc and http; combines with --reshard-at)",
     )
     load_parser.add_argument(
         "--recover", action="store_true",
@@ -401,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load_parser.add_argument(
         "--reshard-at", type=int, default=None, metavar="N",
-        help="chaos mode: reshard the tier online after N ingest batches, "
-        "while the rest of the pool keeps driving traffic (requires "
-        "--reshard-to; transports inproc and cluster)",
+        help="chaos mode: reshard the tier online after N ingest batches "
+        "(0 = before the first), while the rest of the pool keeps driving "
+        "traffic (requires --reshard-to)",
     )
     load_parser.add_argument(
         "--reshard-to", type=int, default=None, metavar="M",
@@ -437,12 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run lintor, the repo-aware static analyzer (rules R001-R006)",
+        help="run lintor, the repo-aware static analyzer (rules R002-R006)",
         description="Statically check the repo's concurrency, wire and "
-        "error contracts: event-loop blocking (R001), guarded-by lock "
-        "discipline (R002), strict JSON (R003), typed errors (R004), "
-        "resource safety (R005) and frame versioning (R006). "
-        "docs/static_analysis.md documents the catalogue.",
+        "error contracts: guarded-by lock discipline (R002), strict JSON "
+        "(R003), typed errors (R004), resource safety (R005) and frame "
+        "versioning (R006). docs/static_analysis.md documents the catalogue.",
     )
     lint_parser.add_argument(
         "paths", nargs="*", default=[],
@@ -1070,53 +1072,28 @@ def _command_load(args) -> int:
     from repro import LightorConfig
     from repro.core.initializer.initializer import HighlightInitializer
     from repro.datasets import DatasetSpec, build_dataset
-    from repro.loadgen import WorkloadSpec, run_kill_recover, run_load
+    from repro.loadgen import KILL, WorkloadSpec, reshard_to, run_load
     from repro.utils.validation import ValidationError
 
-    chaos = args.kill_after is not None
-    if chaos != args.recover:
+    if (args.kill_after is not None) != args.recover:
         print("--kill-after and --recover must be used together", flush=True)
         return 1
-    reshard_chaos = args.reshard_at is not None or args.reshard_to is not None
-    if reshard_chaos and (args.reshard_at is None or args.reshard_to is None):
+    if (args.reshard_at is None) != (args.reshard_to is None):
         print("--reshard-at and --reshard-to must be used together", flush=True)
         return 1
-    if reshard_chaos:
-        if args.reshard_at < 0:
-            print("--reshard-at must be >= 0", flush=True)
+    schedule = []
+    if args.kill_after is not None:
+        if args.backend != "sqlite" or args.db_path is None:
+            print("chaos mode requires --backend sqlite --db-path", flush=True)
             return 1
-        if args.reshard_to < 1:
-            print("--reshard-to must be at least 1", flush=True)
+        schedule.append((args.kill_after, KILL))
+    if args.reshard_at is not None:
+        try:
+            schedule.append((args.reshard_at, reshard_to(args.reshard_to)))
+        except ValidationError as error:
+            print(f"--reshard-to: {error}", flush=True)
             return 1
-        if chaos:
-            print(
-                "--reshard-at cannot be combined with --kill-after "
-                "(one chaos mode per run)",
-                flush=True,
-            )
-            return 1
-        if args.scenario or args.record or args.replay:
-            print(
-                "--reshard-at cannot be combined with --scenario/--record/--replay",
-                flush=True,
-            )
-            return 1
-        if args.transport == "http":
-            print(
-                "--reshard-at supports --transport inproc or cluster "
-                "(an http gateway serves one fixed tier)",
-                flush=True,
-            )
-            return 1
-    if chaos and (args.backend != "sqlite" or args.db_path is None):
-        print("chaos mode requires --backend sqlite --db-path", flush=True)
-        return 1
-    if chaos and args.transport != "inproc":
-        # The kill/recover choreography is deliberately sequential and
-        # in-process (see run_kill_recover); a wire hop adds nothing there.
-        print("chaos mode supports only --transport inproc", flush=True)
-        return 1
-    if chaos and (args.scenario or args.record or args.replay):
+    if schedule and (args.scenario or args.record or args.replay):
         print(
             "chaos mode cannot be combined with --scenario/--record/--replay",
             flush=True,
@@ -1237,44 +1214,6 @@ def _command_load(args) -> int:
 
     initializer = train(args.seed)
 
-    if reshard_chaos:
-        from repro.loadgen import run_reshard
-
-        try:
-            reshard_report = run_reshard(
-                spec,
-                initializer,
-                shards=shards,
-                to_shards=args.reshard_to,
-                reshard_after=args.reshard_at,
-                workers=workers,
-                backend=args.backend,
-                db_path=args.db_path,
-                transport=args.transport,
-                wire_codec=args.wire_codec,
-            )
-        except (ValidationError, sqlite3.Error) as error:
-            print(f"reshard run failed: {error}", flush=True)
-            return 1
-        print(reshard_report.describe())
-        return 0 if reshard_report.ok else 1
-
-    if chaos:
-        try:
-            chaos_report = run_kill_recover(
-                spec,
-                initializer,
-                db_path=args.db_path,
-                shards=shards,
-                kill_after=args.kill_after,
-                checkpoint_every=args.checkpoint_every,
-            )
-        except (ValidationError, sqlite3.Error) as error:
-            print(f"kill/recover run failed: {error}", flush=True)
-            return 1
-        print(chaos_report.describe())
-        return 0 if chaos_report.ok else 1
-
     if args.scenario is not None:
         from repro.loadgen.scenarios import SCENARIOS, run_scenario
 
@@ -1326,14 +1265,17 @@ def _command_load(args) -> int:
             transport=args.transport,
             wire_codec=args.wire_codec,
             per_channel_pending=args.max_pending_per_channel,
+            schedule=schedule,
+            checkpoint_every=args.checkpoint_every,
         )
     except (ValidationError, sqlite3.Error) as error:
-        print(f"load run failed: {error}", flush=True)
+        what = "kill/recover" if args.kill_after is not None else "reshard" if schedule else "load"
+        print(f"{what} run failed: {error}", flush=True)
         return 1
     if args.record:
         _record_trace(args.record, workload, report)
     print(report.describe())
-    return 1 if report.divergences else 0
+    return 0 if report.ok else 1
 
 
 def _command_lint(args) -> int:

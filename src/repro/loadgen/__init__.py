@@ -11,16 +11,16 @@ instead of assumed:
   popularity, channel lifecycle churn, per-channel chat and viewer-play
   streams chunked into ingest batches.
 * :mod:`driver <repro.loadgen.driver>` — the harness: a worker pool replays
-  the batches through a :class:`~repro.platform.sharding.ShardedLightorService`,
-  times every call, then spot-checks the sharded concurrent results against
-  a sequential single-shard oracle (zero divergences or the run fails).
-  :func:`~repro.loadgen.driver.run_kill_recover` is the chaos twin: kill
-  the tier mid-run, rebuild it from its durable checkpoints, and require
-  byte-equivalence with an uninterrupted run.
-  :func:`~repro.loadgen.driver.run_reshard` is the elasticity twin: grow
-  or shrink the tier mid-run (live channel migration, in process or
-  across worker processes) and require byte-equivalence with an
-  undisturbed run.
+  the batches through a :class:`~repro.platform.sharding.ShardedLightorService`
+  (in process, over HTTP or across shard processes), times every call, and
+  compares every channel's end state with one oracle,
+  :func:`~repro.loadgen.driver.oracle_fingerprints` (a sequential
+  single-shard replay; zero divergences or the run fails).  A fault
+  schedule of ``(after, action)`` entries disturbs the tier mid-run:
+  :func:`~repro.loadgen.driver.reshard_to` and other inline actions run
+  on the worker that completes batch ``after`` while traffic continues,
+  and :data:`~repro.loadgen.driver.KILL` crashes the tier, rebuilds it
+  from its durable checkpoints and finishes the run.
 * :mod:`metrics <repro.loadgen.metrics>` — per-stage throughput and latency
   percentile accounting.
 * :mod:`trace <repro.loadgen.trace>` — versioned record/replay: any run can
@@ -39,14 +39,14 @@ and how to read the results.
 """
 
 from repro.loadgen.driver import (
+    KILL,
     ChannelOutcome,
-    KillRecoverReport,
+    FaultOutcome,
     LoadGenerator,
     LoadReport,
-    ReshardChaosReport,
-    run_kill_recover,
+    oracle_fingerprints,
+    reshard_to,
     run_load,
-    run_reshard,
 )
 from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
 from repro.loadgen.scenarios import (
@@ -77,10 +77,11 @@ from repro.loadgen.workload import (
 
 __all__ = [
     "DEFAULT_KNOBS",
+    "KILL",
     "SCENARIOS",
     "ChannelOutcome",
     "ChannelPlan",
-    "KillRecoverReport",
+    "FaultOutcome",
     "LatencyRecorder",
     "LoadGenerator",
     "LoadReport",
@@ -88,7 +89,6 @@ __all__ = [
     "LoadWorkload",
     "ReplayReport",
     "ReplayWorkload",
-    "ReshardChaosReport",
     "Scenario",
     "ScenarioKnobs",
     "ScenarioReport",
@@ -98,11 +98,11 @@ __all__ = [
     "WorkloadSpec",
     "build_scenario_workload",
     "merge_recorders",
+    "oracle_fingerprints",
     "read_trace",
     "replay_trace",
-    "run_kill_recover",
+    "reshard_to",
     "run_load",
-    "run_reshard",
     "run_scenario",
     "write_trace",
     "zipf_weights",

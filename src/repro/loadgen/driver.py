@@ -15,26 +15,35 @@ the workload's ingest batches through a worker pool:
   state — final red dots, refined-highlight history, the full interaction
   log — is fingerprinted.
 
-The **oracle spot-check** replays the byte-identical batch sequence
-sequentially into a fresh single-shard, in-memory service and compares the
-fingerprints: because every engine in the stack is deterministic, a sharded
-concurrent run must produce *exactly* the oracle's results — any divergence
-means a routing, locking or batching bug, and the report counts it.
+The **oracle** (:func:`oracle_fingerprints`) drives the byte-identical
+batch sequence with one worker into a fresh single-shard, in-memory tier:
+because every engine in the stack is deterministic, any run must produce
+*exactly* the oracle's fingerprints — a divergence means a routing,
+locking, batching, migration or recovery bug, and the report lists it.
 
 With ``transport="http"`` the same workload is driven **over the wire**: a
 :class:`~repro.platform.server.GatewayThread` serves the tier on a loopback
-port, each worker owns a :class:`~repro.platform.client.LightorClient`
-(which mirrors the service surface method for method), and every ingest,
-open and close crosses a real HTTP boundary.  The fingerprints still read
-the backing stores directly — they are the ground truth the wire must not
-perturb — so the oracle spot-check now also proves the gateway's JSON wire
-format is byte-exact end to end.
-
+port and each worker owns a :class:`~repro.platform.client.LightorClient`.
 With ``transport="cluster"`` the tier is a fleet of shard worker
-*processes* (:mod:`repro.platform.cluster`): the front door
-consistent-hash-routes every call over the wire to the owning worker, and
-the oracle bar still does not move — a multi-process run must be
-byte-identical to the sequential single-shard replay.
+*processes* (:mod:`repro.platform.cluster`).  The fingerprints read the
+backing stores directly either way, so the oracle bar does not move.
+
+A **fault schedule** — Jepsen's nemesis schedule, run without a network —
+disturbs the tier mid-run.  It is a list of ``(after, action)`` entries;
+``after`` counts ingested batches, so ``0`` runs before the first ingest
+and a count past the workload runs after it, with every channel still
+live.  An action is :data:`KILL` or a callable on the tier:
+
+* a callable (:func:`reshard_to`, a test's ``migrate_channel``) runs inline
+  on the worker that completes batch ``after`` while the rest of the pool
+  keeps driving traffic; actions never overlap;
+* :data:`KILL` is the one barrier: the pool drives exactly ``after``
+  batches and joins, the stores are closed without finalizing a session
+  (the gateway is aborted on ``http``), a fresh tier is built over the same
+  files, ``recover_live_sessions()`` rebuilds every open session, and the
+  rest of the workload is driven minus what the recovered sessions already
+  hold.  A schedule with a kill persists chat: recovery can only replay
+  what the store holds.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from threading import Lock, Thread
 
@@ -50,66 +59,33 @@ from repro.core.initializer.initializer import HighlightInitializer
 from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
 from repro.loadgen.workload import LoadWorkload, WorkBatch
 from repro.platform import codecs
-from repro.platform.sharding import ShardedLightorService, shard_db_path
+from repro.platform.backends import is_memory_path
+from repro.platform.sharding import ReshardReport, ShardedLightorService, shard_db_path
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = [
+    "KILL",
     "ChannelOutcome",
-    "KillRecoverReport",
-    "LoadReport",
+    "FaultOutcome",
     "LoadGenerator",
-    "ReshardChaosReport",
-    "run_kill_recover",
+    "LoadReport",
+    "oracle_fingerprints",
+    "reshard_to",
     "run_load",
-    "run_reshard",
 ]
 
+#: The barrier action of a fault schedule: crash the tier and recover it.
+KILL = "kill"
 
-class _BatchTrigger:
-    """Fire one action mid-drive, after ``after`` ingested batches.
 
-    The chaos hook of the reshard harness: whichever worker thread crosses
-    the batch threshold runs the action *inline* — the other workers keep
-    driving traffic throughout, which is exactly the property under test
-    (channels that do not move keep serving).  If the workload is shorter
-    than the threshold, :meth:`ensure_fired` runs the action after the
-    drive phase, while every channel is still live.
-    """
+def reshard_to(n_shards: int):
+    """Schedule action: reshard the tier online to ``n_shards`` shards."""
+    require_positive(n_shards, "reshard target")
 
-    def __init__(self, after: int, action) -> None:
-        if after < 0:
-            raise ValidationError(f"trigger threshold must be >= 0, got {after}")
-        self.after = after
-        self.action = action
-        self.result = None  # written by the single firing thread only
-        self._lock = Lock()
-        self._count = 0  # guarded-by: _lock
-        self._fired = False  # guarded-by: _lock
+    def reshard(tier) -> ReshardReport:
+        return tier.reshard(n_shards)
 
-    @property
-    def fired(self) -> bool:
-        """Whether the action has run (or is running)."""
-        with self._lock:
-            return self._fired
-
-    def batch_done(self) -> None:
-        """Count one driven batch; fire the action on the crossing."""
-        with self._lock:
-            self._count += 1
-            due = self._count >= self.after and not self._fired
-            if due:
-                self._fired = True
-        if due:
-            self.result = self.action()
-
-    def ensure_fired(self) -> None:
-        """Run the action now if no batch crossing ever fired it."""
-        with self._lock:
-            due = not self._fired
-            if due:
-                self._fired = True
-        if due:
-            self.result = self.action()
+    return reshard
 
 
 @dataclass(frozen=True)
@@ -122,13 +98,64 @@ class ChannelOutcome:
 
 
 @dataclass(frozen=True)
+class FaultOutcome:
+    """What one fault-schedule entry did.
+
+    ``after`` is the number of batches ingested before it ran (capped at
+    the workload's batch count).  A kill fills the recovery counts; an
+    action returning a :class:`~repro.platform.sharding.ReshardReport`
+    fills the shard counts, ``channels_moved``, ``epoch`` and the
+    per-channel migration pauses.
+    """
+
+    action: str
+    after: int
+    old_shards: int = 0
+    new_shards: int = 0
+    channels_moved: int = 0
+    epoch: int = 0
+    pause_seconds: tuple[float, ...] = ()
+    sessions_recovered: int = 0
+    chat_replayed: int = 0
+    plays_replayed: int = 0
+    events_redriven: int = 0
+
+    @property
+    def pause_p99_ms(self) -> float:
+        """p99 of the per-channel migration pause, in milliseconds."""
+        if not self.pause_seconds:
+            return 0.0
+        ordered = sorted(self.pause_seconds)
+        return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)] * 1000.0
+
+    def describe(self, total_batches: int, total_events: int) -> str:
+        """One human-readable line for the CLI."""
+        when = f"after {self.after}/{total_batches} batches"
+        if self.action == KILL:
+            return (
+                f"killed {when} ({self.old_shards} shard(s)); recovered "
+                f"{self.sessions_recovered} session(s), replaying {self.chat_replayed} "
+                f"chat + {self.plays_replayed} play event(s) from the store; "
+                f"re-drove {self.events_redriven:,} of {total_events:,} events"
+            )
+        if self.new_shards:
+            return (
+                f"resharded {self.old_shards} -> {self.new_shards} shard(s) {when} "
+                f"(placement epoch {self.epoch}); moved {self.channels_moved} "
+                f"channel(s), per-channel pause p99 {self.pause_p99_ms:.1f} ms"
+            )
+        return f"{self.action} ran {when}"
+
+
+@dataclass(frozen=True)
 class LoadReport:
     """Everything a load run measured.
 
     ``events_per_sec`` is the headline wall-clock throughput (all stages,
     all workers); ``stages`` holds the per-stage service-side breakdown;
-    ``divergences`` counts channels whose final state differed from the
-    sequential single-shard oracle (must be zero on a healthy build).
+    ``faults`` holds one outcome per fault-schedule entry, in the order
+    they ran; ``divergences`` lists channels whose final state differed
+    from the oracle (must be empty on a healthy build).
     """
 
     shards: int
@@ -143,6 +170,13 @@ class LoadReport:
     oracle_checked: bool = False
     transport: str = "inproc"
     wire_codec: str = "json"
+    total_batches: int = 0
+    faults: tuple[FaultOutcome, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        """Whether every channel matched the oracle (vacuous when unchecked)."""
+        return not self.divergences
 
     @property
     def events_per_sec(self) -> float:
@@ -186,6 +220,8 @@ class LoadReport:
                 f"p50 {stats.p50_ms:7.3f} ms   p95 {stats.p95_ms:7.3f} ms   "
                 f"p99 {stats.p99_ms:7.3f} ms"
             )
+        for fault in self.faults:
+            lines.append("  " + fault.describe(self.total_batches, self.total_events))
         if self.oracle_checked:
             if self.divergences:
                 lines.append(
@@ -194,9 +230,95 @@ class LoadReport:
                 )
             else:
                 lines.append(
-                    f"  oracle spot-check: {len(self.outcomes)} channel(s), 0 divergences"
+                    f"  oracle spot-check: {len(self.outcomes)} channel(s), 0 divergences "
+                    "(byte-identical to the sequential 1-shard run)"
                 )
         return "\n".join(lines)
+
+
+class _InlineFaults:
+    """Fire a drive segment's inline schedule entries as batches complete.
+
+    Whichever worker thread completes batch ``after`` runs the entry's
+    action inline — the other workers keep driving traffic, which is the
+    property under test (channels that do not move keep serving).  Actions
+    run one at a time; entries still unfired when the pool joins run then,
+    with every channel still live.
+    """
+
+    def __init__(self, entries: list, tier, done: int, total: int) -> None:
+        self.outcomes: list[FaultOutcome] = []  # appended under _fire_lock only
+        self.entries = entries
+        self._tier = tier
+        self._total = total
+        self._lock = Lock()
+        self._fire_lock = Lock()
+        self._count = done  # guarded-by: _lock
+        self._next = 0  # guarded-by: _lock
+
+    def batch_done(self) -> None:
+        """Count one driven batch; run every entry now due."""
+        with self._lock:
+            self._count += 1
+        self.fire()
+
+    def fire(self, everything: bool = False) -> None:
+        """Run the entries due at the current count (or all that are left)."""
+        with self._lock:
+            start = end = self._next
+            while end < len(self.entries) and (
+                everything or self.entries[end][0] <= self._count
+            ):
+                end += 1
+            self._next = end
+        if start == end:
+            return
+        with self._fire_lock:
+            for after, action in self.entries[start:end]:
+                result = action(self._tier)
+                outcome = FaultOutcome(getattr(action, "__name__", "action"), min(after, self._total))
+                if isinstance(result, ReshardReport):
+                    outcome = replace(
+                        outcome,
+                        old_shards=result.old_n_shards,
+                        new_shards=result.new_n_shards,
+                        channels_moved=result.moved,
+                        epoch=result.epoch,
+                        pause_seconds=tuple(result.pause_seconds()),
+                    )
+                self.outcomes.append(outcome)
+
+
+def _sorted_schedule(schedule) -> list:
+    """Validate fault-schedule entries; return them ordered by batch count."""
+    for after, action in schedule:
+        if isinstance(after, bool) or not isinstance(after, int) or after < 0:
+            raise ValidationError(f"a fault runs after >= 0 batches, got {after!r}")
+        if action != KILL and not callable(action):
+            raise ValidationError(f"a fault is KILL or a callable, got {action!r}")
+    return sorted(schedule, key=lambda entry: entry[0])
+
+
+def _left_after_recovery(batches: list[WorkBatch], recovered) -> list[tuple[int, WorkBatch]]:
+    """Every ``(index, batch)`` still to drive once ``recovered`` came back:
+    each recovered session's ingested chat and plays are skipped from the
+    start of its channel's batches."""
+    skip = {
+        report.video_id: {"chat": report.messages_ingested, "plays": report.interactions_ingested}
+        for report in recovered
+    }
+    left = []
+    for index, batch in enumerate(batches):
+        counts = skip.get(batch.video_id)
+        held = counts[batch.kind] if counts else 0
+        if held:
+            taken = min(held, len(batch.events))
+            counts[batch.kind] -= taken
+            if taken == len(batch.events):
+                continue
+            batch = replace(batch, events=batch.events[taken:])
+        left.append((index, batch))
+    return left
 
 
 class LoadGenerator:
@@ -221,18 +343,18 @@ class LoadGenerator:
     def drive(
         self,
         service: ShardedLightorService,
-        oracle_factory=None,
         transport: str = "inproc",
         wire_codec: str = "json",
         per_channel_pending: int | None = None,
-        trigger: _BatchTrigger | None = None,
+        schedule=(),
+        tier=None,
+        reopen=None,
     ) -> LoadReport:
-        """Run the workload against ``service`` and (optionally) oracle-check.
+        """Run the workload against ``service``; fingerprint every channel.
 
-        ``oracle_factory`` builds a fresh single-shard service for the
-        sequential replay; pass ``None`` to skip the spot-check (e.g. for
-        pure timing runs).  The driven service is fully closed before the
-        method returns.
+        The driven service is fully closed before the method returns; the
+        report's ``divergences`` stay empty (:func:`run_load` judges them
+        against :func:`oracle_fingerprints`).
 
         ``transport="http"`` serves ``service`` through an in-process
         :class:`~repro.platform.server.GatewayThread` on a loopback port and
@@ -263,94 +385,179 @@ class LoadGenerator:
         budget on ``transport="http"`` (see
         :class:`~repro.platform.server.LightorGateway`).  The harness keeps
         at most one request in flight per channel (one worker owns a
-        channel), so any budget ≥ 1 never refuses the drive itself — the
-        knob exists so fairness scenarios exercise the budget code path
-        under load.  Like ``wire_codec`` it is meaningless on ``inproc``;
-        on ``cluster`` the budgets belong to the worker gateways, which are
+        channel), so any budget ≥ 1 never refuses the drive itself.  On
+        ``cluster`` the budgets belong to the worker gateways, which are
         configured when the fleet boots (pass it to :func:`run_load`).
 
-        ``trigger`` arms a mid-run chaos action (see :class:`_BatchTrigger`
-        and :func:`run_reshard`): the worker thread that drives the
-        threshold-crossing batch runs it inline while the rest of the pool
-        keeps serving traffic; if the workload ends first, the action runs
-        after the drive phase with every channel still live.
+        ``schedule`` is the fault schedule (see the module docstring).
+        Inline actions are called with ``tier`` (default: ``service``; the
+        supervisor on ``cluster``).  A :data:`KILL` needs ``reopen``: called
+        with the crashed tier's shard count, it builds the fresh tier over
+        the same files.
         """
+        try:
+            entries = self._check(transport, wire_codec, per_channel_pending, schedule, reopen)
+        except ValidationError:
+            service.close()  # the contract holds on every exit
+            raise
+        persist = any(action == KILL for _, action in entries)
+        tier = service if tier is None else tier
+        batches = self.workload.batches()
+        total = len(batches)
+        recorders = [LatencyRecorder() for _ in range(self.workers)]
+        faults: list[FaultOutcome] = []
+        left = list(enumerate(batches))
+        live: set[str] = set()
+        done = 0
+        clients, gateway = [], None
+        try:
+            frontends, clients, gateway = self._connect(
+                service, transport, wire_codec, per_channel_pending
+            )
+            # A channel whose events were all filtered out produces no
+            # batches; open it up front so the close phase still runs its
+            # lifecycle.
+            self._open_idle_channels(frontends[0], batches)
+            wall = 0.0
+            while True:
+                kill = next((i for i, (_, action) in enumerate(entries) if action == KILL), None)
+                stop = total if kill is None else min(entries[kill][0], total)
+                inline = _InlineFaults(entries[:kill], tier, done, total)
+                wall += self._drive_segment(
+                    frontends, [batch for index, batch in left if index < stop],
+                    recorders, live, inline, persist,
+                )
+                faults.extend(inline.outcomes)
+                if kill is None:
+                    break
+                entries = entries[kill + 1 :]
+                done = stop
+                # The simulated crash: cut the wire, release the file handles
+                # so a fresh tier can open the databases, finalize nothing.
+                for client in clients:
+                    client.close()
+                if gateway is not None:
+                    gateway.stop(drain=False)
+                clients, gateway = [], None
+                crashed, service = service, None
+                for shard in crashed.shards:
+                    shard.store.close()
+                service = tier = reopen(crashed.n_shards)
+                recovered = service.recover_live_sessions()
+                left = _left_after_recovery(batches, recovered)
+                live = {report.video_id for report in recovered}
+                faults.append(
+                    FaultOutcome(
+                        KILL,
+                        stop,
+                        old_shards=crashed.n_shards,
+                        new_shards=service.n_shards,
+                        sessions_recovered=len(recovered),
+                        chat_replayed=sum(report.chat_replayed for report in recovered),
+                        plays_replayed=sum(report.plays_replayed for report in recovered),
+                        events_redriven=sum(len(batch.events) for _, batch in left),
+                    )
+                )
+                frontends, clients, gateway = self._connect(
+                    service, transport, wire_codec, per_channel_pending
+                )
+            outcomes = self._close_channels(frontends[0], service, recorders[0])
+            n_shards = service.n_shards
+        finally:
+            for client in clients:
+                client.close()
+            if gateway is not None:
+                gateway.stop()
+            if service is not None:
+                service.close()
+
+        return LoadReport(
+            shards=n_shards,
+            workers=self.workers,
+            batch_size=self.workload.spec.batch_size,
+            channels=len(self.workload.plans),
+            total_events=self.workload.total_events,
+            wall_seconds=wall,
+            stages=merge_recorders(recorders),
+            outcomes=outcomes,
+            transport=transport,
+            wire_codec=wire_codec,
+            total_batches=total,
+            faults=tuple(faults),
+        )
+
+    # ---------------------------------------------------------------- internals
+    def _check(self, transport, wire_codec, per_channel_pending, schedule, reopen) -> list:
+        """Validate the drive's options; return the schedule sorted by count."""
         from repro.platform import wire
 
         if transport not in ("inproc", "http", "cluster"):
-            # The contract holds on every exit: the driven service is closed.
-            service.close()
             raise ValidationError(
                 f"unknown transport {transport!r} "
                 "(expected 'inproc', 'http' or 'cluster')"
             )
         if wire_codec not in wire.WIRE_CODECS:
-            service.close()
             raise ValidationError(
                 f"unknown wire codec {wire_codec!r} (expected one of {wire.WIRE_CODECS})"
             )
         if transport == "inproc" and wire_codec != "json":
-            service.close()
             raise ValidationError(
                 "wire_codec applies to wire transports only; "
                 "transport='inproc' has no wire to encode"
             )
         if per_channel_pending is not None and transport != "http":
-            service.close()
             raise ValidationError(
                 "per_channel_pending is a gateway admission budget: it applies "
                 "to transport='http' here; cluster worker budgets are set when "
                 "the fleet boots (pass per_channel_pending to run_load)"
             )
-        gateway = None
-        clients: list = []
-        if transport == "http":
-            from repro.platform.client import LightorClient
-            from repro.platform.server import GatewayThread
+        if reopen is None and any(action == KILL for _, action in schedule):
+            raise ValidationError("a scheduled kill needs reopen= to rebuild the tier")
+        return _sorted_schedule(schedule)
 
-            # Every worker keeps one blocking request in flight, so the
-            # admission budget must cover the whole pool — a default-sized
-            # gateway would 503 the drivers past its budget.
-            gateway = GatewayThread(
-                service,
-                max_pending=max(64, self.workers + 2),
-                worker_threads=min(32, max(8, self.workers)),
-                max_pending_per_channel=per_channel_pending,
-            )
-            try:
-                host, port = gateway.start()
-            except BaseException:
-                service.close()
-                raise
-            clients = [
-                LightorClient(host, port, wire_codec=wire_codec)
-                for _ in range(self.workers)
-            ]
-            frontends: list = list(clients)
-        elif transport == "cluster":
+    def _connect(self, service, transport, wire_codec, per_channel_pending):
+        """Per-worker frontends for ``service``: ``(frontends, clients, gateway)``."""
+        if transport == "inproc":
+            return [service] * self.workers, [], None
+        if transport == "cluster":
             # One front-door clone per worker: clones share the ring but own
-            # their sockets, exactly like the per-worker clients above.
-            try:
-                clients = [service.clone() for _ in range(self.workers)]
-            except BaseException:
-                service.close()
-                raise
-            frontends = list(clients)
-        else:
-            frontends = [service] * self.workers
+            # their sockets, exactly like the per-worker clients below.
+            clients = [service.clone() for _ in range(self.workers)]
+            return clients, clients, None
+        from repro.platform.client import LightorClient
+        from repro.platform.server import GatewayThread
 
-        batches = self.workload.batches()
+        # Every worker keeps one blocking request in flight, so the
+        # admission budget must cover the whole pool — a default-sized
+        # gateway would 503 the drivers past its budget.
+        gateway = GatewayThread(
+            service,
+            max_pending=max(64, self.workers + 2),
+            worker_threads=min(32, max(8, self.workers)),
+            max_pending_per_channel=per_channel_pending,
+        )
+        host, port = gateway.start()
+        clients = [LightorClient(host, port, wire_codec=wire_codec) for _ in range(self.workers)]
+        return clients, clients, gateway
+
+    def _drive_segment(self, frontends, batches, recorders, live, inline, persist) -> float:
+        """Drive ``batches`` with the pool and join; fire ``inline`` entries.
+
+        Returns the wall-clock seconds from the first worker's start to the
+        last one's exit, inline faults included.
+        """
         worker_of = self._assign_channels()
         queues: list[list[WorkBatch]] = [[] for _ in range(self.workers)]
         for batch in batches:
             queues[worker_of[batch.video_id]].append(batch)
-
-        recorders = [LatencyRecorder() for _ in range(self.workers)]
         failures: list[BaseException] = []
+        # Without inline entries the workers count nothing: the hot loop
+        # takes no shared lock.
+        counter = inline if inline.entries else None
         threads = [
             Thread(
                 target=self._worker,
-                args=(frontend, queue, recorder, failures, trigger),
+                args=(frontend, queue, recorder, failures, set(live), counter, persist),
                 name=f"loadgen-{index}",
                 daemon=True,
             )
@@ -358,58 +565,21 @@ class LoadGenerator:
                 zip(frontends, queues, recorders)
             )
         ]
-        try:
-            # A channel whose events were all filtered out produces no
-            # batches; open it up front so the close phase still runs its
-            # lifecycle.
-            self._open_idle_channels(frontends[0], batches)
-            started = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            wall = time.perf_counter() - started
-            if failures:
-                # A dead worker means part of the traffic was never driven; a
-                # report computed over the full planned event count would be a
-                # lie, so the run fails loudly with the first worker error.
-                raise failures[0]
-            if trigger is not None:
-                # A threshold past the last batch still fires — after the
-                # traffic, with every channel live — so the chaos action is
-                # never silently skipped.
-                trigger.ensure_fired()
-            outcomes = self._close_channels(frontends[0], service, recorders[0])
-        finally:
-            for client in clients:
-                client.close()
-            if gateway is not None:
-                gateway.stop()
-            service.close()
-        stages = merge_recorders(recorders)
+        inline.fire()  # entries due before this segment's first batch
+        started = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        elapsed = time.perf_counter() - started
+        if failures:
+            # A dead worker means part of the traffic was never driven; a
+            # report computed over the full planned event count would be a
+            # lie, so the run fails loudly with the first worker error.
+            raise failures[0]
+        inline.fire(everything=True)
+        return elapsed
 
-        divergences: list[str] = []
-        oracle_checked = False
-        if oracle_factory is not None:
-            oracle_checked = True
-            divergences = self._oracle_divergences(batches, outcomes, oracle_factory)
-
-        return LoadReport(
-            shards=service.n_shards,
-            workers=self.workers,
-            batch_size=self.workload.spec.batch_size,
-            channels=len(self.workload.plans),
-            total_events=self.workload.total_events,
-            wall_seconds=wall,
-            stages=stages,
-            outcomes=outcomes,
-            divergences=divergences,
-            oracle_checked=oracle_checked,
-            transport=transport,
-            wire_codec=wire_codec,
-        )
-
-    # ---------------------------------------------------------------- internals
     def _assign_channels(self) -> dict[str, int]:
         channel_ids = sorted(plan.video.video_id for plan in self.workload.plans)
         return {vid: index % self.workers for index, vid in enumerate(channel_ids)}
@@ -427,12 +597,14 @@ class LoadGenerator:
         queue: list[WorkBatch],
         recorder: LatencyRecorder,
         failures: list[BaseException],
-        trigger: _BatchTrigger | None = None,
+        live: set[str],
+        inline: _InlineFaults | None,
+        persist: bool,
     ) -> None:
         # ``frontend`` is the service itself (inproc) or this worker's own
         # LightorClient (http) — the two expose the same call surface.
-        live: set[str] = set()
         plans = {plan.video.video_id: plan for plan in self.workload.plans}
+        chat_options = {"persist": True} if persist else {}
         try:
             for batch in queue:
                 if batch.video_id not in live:
@@ -442,12 +614,12 @@ class LoadGenerator:
                     live.add(batch.video_id)
                 t0 = time.perf_counter()
                 if batch.kind == "chat":
-                    frontend.ingest_chat_batch(batch.video_id, list(batch.events))
+                    frontend.ingest_chat_batch(batch.video_id, list(batch.events), **chat_options)
                 else:
                     frontend.ingest_plays_batch(batch.video_id, list(batch.events))
                 recorder.record(batch.kind, time.perf_counter() - t0, events=len(batch.events))
-                if trigger is not None:
-                    trigger.batch_done()
+                if inline is not None:
+                    inline.batch_done()
         except BaseException as error:  # noqa: BLE001 - surfaced by drive()
             failures.append(error)
 
@@ -493,128 +665,42 @@ class LoadGenerator:
             allow_nan=False,
         )
 
-    def _oracle_divergences(
-        self,
-        batches: list[WorkBatch],
-        outcomes: dict[str, ChannelOutcome],
-        oracle_factory,
-    ) -> list[str]:
-        """Sequentially replay the identical batches; list differing channels."""
-        oracle: ShardedLightorService = oracle_factory()
-        try:
-            plans = {plan.video.video_id: plan for plan in self.workload.plans}
-            self._open_idle_channels(oracle, batches)
-            live: set[str] = set()
-            for batch in batches:
-                if batch.video_id not in live:
-                    oracle.start_live(plans[batch.video_id].video)
-                    live.add(batch.video_id)
-                if batch.kind == "chat":
-                    oracle.ingest_chat_batch(batch.video_id, list(batch.events))
-                else:
-                    oracle.ingest_plays_batch(batch.video_id, list(batch.events))
-            divergences = []
-            for video_id, outcome in sorted(outcomes.items()):
-                dots = oracle.end_live(video_id, plans[video_id].duration)
-                expected = self._fingerprint(oracle, video_id, dots)
-                if expected != outcome.fingerprint:
-                    divergences.append(video_id)
-            return divergences
-        finally:
-            oracle.close()
 
+def oracle_fingerprints(
+    workload: LoadWorkload, initializer: HighlightInitializer, *, live_k: int | None = None
+) -> dict[str, str]:
+    """Fingerprint every channel of the sequential 1-shard in-memory replay.
 
-@dataclass(frozen=True)
-class KillRecoverReport:
-    """Outcome of a kill-and-recover chaos run (``repro load --kill-after``).
-
-    ``divergences`` lists channels whose post-recovery end state differed
-    from the same workload run uninterrupted — it must be empty: the
-    checkpoint/recovery subsystem promises byte-identical final red dots,
-    highlight records and interaction logs (see
-    :mod:`repro.platform.recovery`).
+    The one oracle of the harness: :meth:`LoadGenerator.drive` with a single
+    worker into a fresh single-shard memory tier, so every channel sees the
+    workload's batches in their global order, with no checkpointing and no
+    fault.  Any run of the same workload — sharded, concurrent, over a
+    wire, resharded, killed and recovered — must reproduce these
+    fingerprints byte for byte.
     """
-
-    shards: int
-    channels: int
-    total_batches: int
-    killed_after: int
-    checkpoint_every: int
-    sessions_recovered: int
-    chat_replayed: int
-    plays_replayed: int
-    events_redriven: int
-    total_events: int
-    divergences: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the recovered run matched the uninterrupted oracle."""
-        return not self.divergences
-
-    def describe(self) -> str:
-        """Multi-line human-readable summary for the CLI."""
-        lines = [
-            f"killed after {self.killed_after}/{self.total_batches} batches "
-            f"({self.shards} shard(s), checkpoint every {self.checkpoint_every} events); "
-            f"recovered {self.sessions_recovered} session(s), replaying "
-            f"{self.chat_replayed} chat + {self.plays_replayed} play event(s) "
-            f"from the store",
-            f"re-drove {self.events_redriven:,} of {self.total_events:,} events "
-            f"to finish the run",
-        ]
-        if self.divergences:
-            lines.append(
-                f"RECOVERY DIVERGENCE on {len(self.divergences)} channel(s): "
-                + ", ".join(self.divergences)
-            )
-        else:
-            lines.append(
-                f"recovered run is byte-identical to the uninterrupted run "
-                f"on all {self.channels} channel(s)"
-            )
-        return "\n".join(lines)
+    service = ShardedLightorService.create(
+        1,
+        initializer,
+        backend="memory",
+        max_live_sessions=max(len(workload.plans), 1),
+        live_k=live_k,
+    )
+    report = LoadGenerator(workload, workers=1).drive(service)
+    return {video_id: outcome.fingerprint for video_id, outcome in report.outcomes.items()}
 
 
-def run_kill_recover(
-    spec,
-    initializer: HighlightInitializer,
-    *,
-    db_path,
-    shards: int = 1,
-    kill_after: int,
-    checkpoint_every: int = 256,
-    live_k: int | None = None,
-    workload: LoadWorkload | None = None,
-) -> KillRecoverReport:
-    """Drive a workload, kill the service tier mid-run, recover, and verify.
-
-    The chaos twin of :func:`run_load`, sequential for exactness:
-
-    1. drive the first ``kill_after`` batches into a checkpointing SQLite
-       service tier (chat persisted — recovery can only replay what the
-       store holds);
-    2. simulate a crash — close the backend connections without finalizing
-       a single session (no ``shutdown``, no eviction callbacks);
-    3. build a fresh tier over the same database files, rebuild every open
-       session via ``recover_live_sessions``, and finish the run, skipping
-       exactly the events the recovered sessions already ingested;
-    4. close every channel and compare each channel's full persisted end
-       state (final dots, stored dots, highlight records, interaction log)
-       byte-for-byte against the same workload driven uninterrupted.
-
-    Any divergence is a recovery bug and lands in the report (the CLI and
-    CI fail on it).  The per-shard database files must not exist yet: a
-    previous run's rows would be driven into and recovered as if this run
-    had written them.
-    """
+def _check_killable(transport: str, backend: str, db_path, shards: int, checkpoint_every) -> None:
+    """Refuse a kill the harness cannot recover from, before anything runs."""
     require_positive(checkpoint_every, "checkpoint_every")
-    if kill_after < 0:
-        raise ValidationError(f"kill_after must be >= 0, got {kill_after}")
-    if db_path is None:
+    if transport == "cluster":
         raise ValidationError(
-            "kill/recover needs a file-backed SQLite store (pass db_path); "
-            "an in-memory database cannot survive the simulated crash"
+            "a kill over transport='cluster' is not supported: the worker "
+            "processes would have to restart from their files"
+        )
+    if backend != "sqlite" or db_path is None or is_memory_path(db_path):
+        raise ValidationError(
+            "kill/recover needs a file-backed SQLite store (backend='sqlite' "
+            "and a db_path); an in-memory database cannot survive the simulated crash"
         )
     for shard_index in range(shards):
         stale = Path(shard_db_path(db_path, shard_index))
@@ -623,310 +709,6 @@ def run_kill_recover(
                 f"kill/recover needs fresh database files, but {stale} already "
                 "exists (left by an earlier run?); remove it or pick another --db-path"
             )
-    if workload is None:
-        workload = LoadWorkload.from_spec(spec)
-    batches = workload.batches()
-    plans = {plan.video.video_id: plan for plan in workload.plans}
-    kill_at = min(kill_after, len(batches))
-    max_sessions = max(spec.channels, 1)
-
-    def create(backend: str, path, n_shards: int, cadence: int | None):
-        return ShardedLightorService.create(
-            n_shards,
-            initializer,
-            backend=backend,
-            db_path=path,
-            max_live_sessions=max_sessions,
-            live_k=live_k,
-            checkpoint_every=cadence,
-        )
-
-    def ingest(service: ShardedLightorService, batch: WorkBatch, events: list) -> None:
-        if batch.kind == "chat":
-            service.ingest_chat_batch(batch.video_id, events, persist=True)
-        else:
-            service.ingest_plays_batch(batch.video_id, events)
-
-    def open_idle(service: ShardedLightorService) -> None:
-        with_traffic = {batch.video_id for batch in batches}
-        for plan in workload.plans:
-            if plan.video.video_id not in with_traffic:
-                service.start_live(plan.video)
-
-    def close_and_fingerprint(service: ShardedLightorService) -> dict[str, str]:
-        fingerprints: dict[str, str] = {}
-        for plan in sorted(workload.plans, key=lambda p: p.video.video_id):
-            video_id = plan.video.video_id
-            dots = service.end_live(video_id, plan.duration)
-            fingerprints[video_id] = LoadGenerator._fingerprint(service, video_id, dots)
-        return fingerprints
-
-    # Phase 1: drive to the kill point, then drop the tier on the floor.
-    service = create("sqlite", db_path, shards, checkpoint_every)
-    open_idle(service)
-    live: set[str] = set()
-    for batch in batches[:kill_at]:
-        if batch.video_id not in live:
-            service.start_live(plans[batch.video_id].video)
-            live.add(batch.video_id)
-        ingest(service, batch, list(batch.events))
-    for shard in service.shards:
-        # The simulated crash: release the file handles so a fresh tier can
-        # open the databases, but finalize nothing and delete no snapshot.
-        shard.store.close()
-
-    # Phase 2: a fresh tier over the same files rebuilds the open sessions
-    # and finishes the run, skipping what the recovered sessions already saw.
-    service = create("sqlite", db_path, shards, checkpoint_every)
-    recovered = service.recover_live_sessions()
-    skip = {
-        report.video_id: {
-            "chat": report.messages_ingested,
-            "plays": report.interactions_ingested,
-        }
-        for report in recovered
-    }
-    live = {report.video_id for report in recovered}
-    redriven = 0
-    for batch in batches:
-        events = list(batch.events)
-        counts = skip.get(batch.video_id)
-        if counts is not None and counts[batch.kind] > 0:
-            if counts[batch.kind] >= len(events):
-                counts[batch.kind] -= len(events)
-                continue
-            events = events[counts[batch.kind] :]
-            counts[batch.kind] = 0
-        if batch.video_id not in live:
-            service.start_live(plans[batch.video_id].video)
-            live.add(batch.video_id)
-        ingest(service, batch, events)
-        redriven += len(events)
-    outcomes = close_and_fingerprint(service)
-    service.close()
-
-    # The uninterrupted reference: identical call sequence, one shard, no
-    # checkpointing — which doubles as proof that checkpointing itself never
-    # perturbs results.
-    oracle = create("memory", None, 1, None)
-    open_idle(oracle)
-    live = set()
-    for batch in batches:
-        if batch.video_id not in live:
-            oracle.start_live(plans[batch.video_id].video)
-            live.add(batch.video_id)
-        ingest(oracle, batch, list(batch.events))
-    expected = close_and_fingerprint(oracle)
-    oracle.close()
-
-    divergences = [
-        video_id
-        for video_id in sorted(expected)
-        if expected[video_id] != outcomes.get(video_id)
-    ]
-    return KillRecoverReport(
-        shards=shards,
-        channels=len(workload.plans),
-        total_batches=len(batches),
-        killed_after=kill_at,
-        checkpoint_every=checkpoint_every,
-        sessions_recovered=len(recovered),
-        chat_replayed=sum(report.chat_replayed for report in recovered),
-        plays_replayed=sum(report.plays_replayed for report in recovered),
-        events_redriven=redriven,
-        total_events=workload.total_events,
-        divergences=divergences,
-    )
-
-
-@dataclass(frozen=True)
-class ReshardChaosReport:
-    """Outcome of an online-reshard chaos run (``repro load --reshard-at``).
-
-    The tier is resharded **while the workload is being driven**: whichever
-    driver thread crosses the batch threshold runs the reshard inline, the
-    other threads keep pushing traffic, and every 409-redirected request is
-    retried against the new owner by the routing layer.  ``divergences``
-    lists channels whose final persisted state differed from the same
-    workload driven sequentially into an undisturbed single-shard tier — it
-    must be empty: moving a channel's rows and live session between shards
-    (or worker processes) may never change a byte of what the run produces.
-
-    ``pause_seconds`` holds the per-channel unavailability windows the
-    migrations measured; :attr:`pause_p99_ms` is the headline the bench
-    records.
-    """
-
-    transport: str
-    backend: str
-    old_shards: int
-    new_shards: int
-    reshard_after: int
-    total_batches: int
-    channels: int
-    total_events: int
-    channels_moved: int
-    epoch: int
-    pause_seconds: tuple[float, ...] = ()
-    divergences: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the resharded run matched the undisturbed oracle."""
-        return not self.divergences
-
-    @property
-    def pause_p99_ms(self) -> float:
-        """p99 of the per-channel migration pause, in milliseconds."""
-        if not self.pause_seconds:
-            return 0.0
-        ordered = sorted(self.pause_seconds)
-        index = max(0, math.ceil(0.99 * len(ordered)) - 1)
-        return ordered[index] * 1000.0
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form (what ``BENCH_load.json`` stores)."""
-        return {
-            "transport": self.transport,
-            "backend": self.backend,
-            "old_shards": self.old_shards,
-            "new_shards": self.new_shards,
-            "reshard_after": self.reshard_after,
-            "total_batches": self.total_batches,
-            "channels": self.channels,
-            "total_events": self.total_events,
-            "channels_moved": self.channels_moved,
-            "epoch": self.epoch,
-            "pause_p99_ms": round(self.pause_p99_ms, 3),
-            "divergences": list(self.divergences),
-        }
-
-    def describe(self) -> str:
-        """Multi-line human-readable summary for the CLI."""
-        lines = [
-            f"resharded {self.old_shards} -> {self.new_shards} shard(s) after "
-            f"{self.reshard_after}/{self.total_batches} batches "
-            f"(transport {self.transport}, {self.backend} backend, "
-            f"placement epoch {self.epoch})",
-            f"moved {self.channels_moved} of {self.channels} channel(s); "
-            f"per-channel pause p99 {self.pause_p99_ms:.1f} ms",
-        ]
-        if self.divergences:
-            lines.append(
-                f"RESHARD DIVERGENCE on {len(self.divergences)} channel(s): "
-                + ", ".join(self.divergences)
-            )
-        else:
-            lines.append(
-                f"resharded run is byte-identical to the undisturbed run "
-                f"on all {self.channels} channel(s)"
-            )
-        return "\n".join(lines)
-
-
-def run_reshard(
-    spec,
-    initializer: HighlightInitializer,
-    *,
-    shards: int,
-    to_shards: int,
-    reshard_after: int,
-    workers: int = 4,
-    backend: str = "memory",
-    db_path=None,
-    transport: str = "inproc",
-    wire_codec: str = "json",
-    live_k: int | None = None,
-    workload: LoadWorkload | None = None,
-    cluster_seed: int = 2020,
-) -> ReshardChaosReport:
-    """Drive a workload, reshard the tier mid-run, and verify byte-equality.
-
-    The reshard twin of :func:`run_kill_recover`, concurrent on purpose:
-    the workload keeps being driven by the worker pool while the tier grows
-    or shrinks underneath it.  ``transport="inproc"`` reshards a
-    :class:`~repro.platform.sharding.ShardedLightorService` in place;
-    ``transport="cluster"`` boots a worker-process fleet and has its
-    supervisor spawn/drain whole processes mid-run, with every moved
-    channel crossing the wire as a migration bundle.  Either way the final
-    fingerprints must match the sequential single-shard oracle byte for
-    byte — an online reshard may not change a single result.
-    """
-    require_positive(shards, "shards")
-    require_positive(to_shards, "to_shards")
-    if transport not in ("inproc", "cluster"):
-        raise ValidationError(
-            "reshard chaos supports transports 'inproc' and 'cluster' "
-            "(an http gateway serves one fixed tier; reshard it in place "
-            "via ShardedLightorService.reshard)"
-        )
-    if workload is None:
-        workload = LoadWorkload.from_spec(spec)
-    generator = LoadGenerator(workload, workers=workers)
-
-    def oracle_factory() -> ShardedLightorService:
-        return ShardedLightorService.create(
-            1, initializer, backend="memory",
-            max_live_sessions=max(spec.channels, 1), live_k=live_k,
-        )
-
-    if transport == "cluster":
-        from repro.platform.cluster import ShardClusterSupervisor
-
-        supervisor = ShardClusterSupervisor(
-            shards,
-            backend=backend,
-            db_path=db_path,
-            seed=cluster_seed,
-            live_k=live_k,
-            max_live_sessions=max(spec.channels, 1),
-            wire_codec=wire_codec,
-        )
-        trigger = _BatchTrigger(reshard_after, lambda: supervisor.reshard(to_shards))
-        supervisor.start()
-        try:
-            load = generator.drive(
-                supervisor.front_door(),
-                oracle_factory=oracle_factory,
-                transport="cluster",
-                wire_codec=wire_codec,
-                trigger=trigger,
-            )
-        finally:
-            supervisor.stop()
-    else:
-        service = ShardedLightorService.create(
-            shards,
-            initializer,
-            backend=backend,
-            db_path=db_path,
-            max_live_sessions=max(spec.channels, 1),
-            live_k=live_k,
-        )
-        trigger = _BatchTrigger(reshard_after, lambda: service.reshard(to_shards))
-        load = generator.drive(
-            service,
-            oracle_factory=oracle_factory,
-            transport="inproc",
-            wire_codec=wire_codec,
-            trigger=trigger,
-        )
-
-    reshard_report = trigger.result
-    return ReshardChaosReport(
-        transport=transport,
-        backend=backend,
-        old_shards=shards,
-        new_shards=to_shards,
-        reshard_after=min(reshard_after, len(workload.batches())),
-        total_batches=len(workload.batches()),
-        channels=len(workload.plans),
-        total_events=workload.total_events,
-        channels_moved=reshard_report.moved,
-        epoch=reshard_report.epoch,
-        pause_seconds=tuple(reshard_report.pause_seconds()),
-        divergences=load.divergences,
-    )
 
 
 def run_load(
@@ -944,16 +726,20 @@ def run_load(
     cluster_seed: int = 2020,
     wire_codec: str = "json",
     per_channel_pending: int | None = None,
+    schedule=(),
+    checkpoint_every: int = 256,
 ) -> LoadReport:
     """Build the workload, the service tier and the harness; run once.
 
     This is the one-call entry point the CLI (``repro load``) and the
-    scaling benchmark share.  Pass a pre-built ``workload`` (see
+    benchmarks share.  Pass a pre-built ``workload`` (see
     :meth:`LoadWorkload.rebatched`) to reuse one synthesised fleet across a
     parameter grid.  The service is created with ``max_live_sessions``
     covering the whole fleet so LRU eviction cannot interleave with the run
     (evictions under concurrency are exercised by the orchestrator's own
     test suite; a load run wants deterministic end-state fingerprints).
+    With ``oracle`` (the default) every channel's fingerprint is compared
+    with :func:`oracle_fingerprints`.
 
     ``transport="http"`` drives the identical workload through an
     in-process HTTP gateway instead of direct calls — the oracle bar does
@@ -971,16 +757,22 @@ def run_load(
     ``per_channel_pending`` arms the per-channel admission budget of the
     wire gateways (the in-process one on ``http``, every worker gateway on
     ``cluster``); rejected on ``inproc``, where there is no gateway.
+
+    ``schedule`` is the fault schedule (see the module docstring): inline
+    actions such as ``reshard_to(3)`` run on any transport.  A :data:`KILL`
+    needs a file-backed SQLite tier whose per-shard files do not exist yet
+    (a previous run's rows would be driven into and recovered as if this
+    run had written them), checkpoints live sessions every
+    ``checkpoint_every`` persisted events, and is refused on ``cluster``.
     """
+    _sorted_schedule(schedule)  # refuse a malformed schedule before a fleet boots
     if workload is None:
         workload = LoadWorkload.from_spec(spec)
     generator = LoadGenerator(workload, workers=workers)
-
-    def oracle_factory() -> ShardedLightorService:
-        return ShardedLightorService.create(
-            1, initializer, backend="memory",
-            max_live_sessions=max(spec.channels, 1), live_k=live_k,
-        )
+    cadence = None
+    if any(action == KILL for _, action in schedule):
+        _check_killable(transport, backend, db_path, shards, checkpoint_every)
+        cadence = checkpoint_every
 
     if transport == "cluster":
         from repro.platform.cluster import ShardClusterSupervisor
@@ -997,27 +789,45 @@ def run_load(
         )
         supervisor.start()
         try:
-            return generator.drive(
+            report = generator.drive(
                 supervisor.front_door(),
-                oracle_factory=oracle_factory if oracle else None,
                 transport="cluster",
                 wire_codec=wire_codec,
+                schedule=schedule,
+                tier=supervisor,
             )
         finally:
             supervisor.stop()
+    else:
 
-    service = ShardedLightorService.create(
-        shards,
-        initializer,
-        backend=backend,
-        db_path=db_path,
-        max_live_sessions=max(spec.channels, 1),
-        live_k=live_k,
-    )
-    return generator.drive(
-        service,
-        oracle_factory=oracle_factory if oracle else None,
-        transport=transport,
-        wire_codec=wire_codec,
-        per_channel_pending=per_channel_pending,
+        def build(n_shards: int) -> ShardedLightorService:
+            return ShardedLightorService.create(
+                n_shards,
+                initializer,
+                backend=backend,
+                db_path=db_path,
+                max_live_sessions=max(spec.channels, 1),
+                live_k=live_k,
+                checkpoint_every=cadence,
+            )
+
+        report = generator.drive(
+            build(shards),
+            transport=transport,
+            wire_codec=wire_codec,
+            per_channel_pending=per_channel_pending,
+            schedule=schedule,
+            reopen=build,
+        )
+    if not oracle:
+        return report
+    expected = oracle_fingerprints(workload, initializer, live_k=live_k)
+    return replace(
+        report,
+        oracle_checked=True,
+        divergences=[
+            video_id
+            for video_id, outcome in sorted(report.outcomes.items())
+            if outcome.fingerprint != expected.get(video_id)
+        ],
     )

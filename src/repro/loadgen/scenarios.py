@@ -372,7 +372,7 @@ def run_scenario(
     gives each channel a single driver worker — at most one request in
     flight per channel — so any budget ≥ 1 never refuses the drive itself.
     """
-    from repro.loadgen.driver import run_load
+    from repro.loadgen.driver import oracle_fingerprints, run_load
 
     scenario = SCENARIOS.get(name)
     if scenario is None:
@@ -400,20 +400,12 @@ def run_scenario(
         # The perturbation promises to change *when* batches arrive, never
         # what they contain — so the scenario's end state must equal the
         # unperturbed workload's, byte for byte.
-        base = run_load(
-            spec,
-            initializer,
-            shards=1,
-            workers=1,
-            backend="memory",
-            oracle=False,
-            workload=LoadWorkload.from_spec(spec),
-        )
+        base = oracle_fingerprints(LoadWorkload.from_spec(spec), initializer)
         baseline_divergences = [
             video_id
-            for video_id, outcome in sorted(base.outcomes.items())
+            for video_id, fingerprint in sorted(base.items())
             if report.outcomes.get(video_id) is None
-            or report.outcomes[video_id].fingerprint != outcome.fingerprint
+            or report.outcomes[video_id].fingerprint != fingerprint
         ]
 
     return ScenarioReport(

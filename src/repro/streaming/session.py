@@ -374,18 +374,6 @@ class StreamOrchestrator:
             raise ValidationError(f"no live session for video {video_id!r}")
         del self._sessions[video_id]
 
-    def close_all_sessions(self) -> dict[str, list[RedDot]]:
-        """Finalize every live session (graceful shutdown); returns final dots.
-
-        Results flow through the same eviction callbacks as a normal close,
-        so nothing is dropped when a service shuts down mid-stream.
-        """
-        results: dict[str, list[RedDot]] = {}
-        while self._sessions:
-            video_id = next(iter(self._sessions))
-            results[video_id] = self.close_session(video_id)
-        return results
-
     def current_dots(self, video_id: str) -> list[RedDot]:
         """The dots currently live for ``video_id`` (empty when untracked)."""
         session = self._sessions.get(video_id)

@@ -7,23 +7,10 @@ class Counters:
     def __init__(self):
         self._lock = threading.Lock()
         self._hits = 0  # guarded-by: _lock
-        self._pending = 0  # guarded-by: event-loop
 
     def record(self):
-        self._hits += 1  # line 13: lock-guarded attr without the lock
+        self._hits += 1  # line 12: lock-guarded attr without the lock
 
     def snapshot(self):
         with self._other_lock:
-            return self._hits  # line 17: wrong lock held
-
-    def poll(self):
-        return self._pending  # line 20: loop-confined attr in unmarked sync def
-
-    async def admit(self):
-        self._pending += 1  # fine: coroutines run on the loop
-
-    def publish(self):  # runs-on: event-loop
-        return self._pending  # fine: marked loop-confined ...
-
-    def start(self, pool):
-        pool.submit(self.publish)  # line 29: ... but then offloaded to a pool
+            return self._hits  # line 16: wrong lock held

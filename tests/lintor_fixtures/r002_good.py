@@ -7,7 +7,6 @@ class Counters:
     def __init__(self):
         self._lock = threading.Lock()
         self._hits = 0  # guarded-by: _lock
-        self._pending = 0  # guarded-by: event-loop
         self._hits = 0  # __init__ may touch guarded attrs lock-free
 
     def record(self):
@@ -18,9 +17,3 @@ class Counters:
         with self._lock:
             hits = self._hits
         return hits
-
-    async def admit(self):
-        self._pending += 1
-
-    def health(self):  # runs-on: event-loop
-        return self._pending

@@ -166,13 +166,27 @@ class TestLoadCommand:
         assert "codec binary" in out
         assert "0 divergences" in out
 
-    def test_chaos_mode_rejects_http_transport(self, capsys):
+    def test_chaos_mode_rejects_cluster_transport(self, capsys, tmp_path):
         argv = [
-            "load", "--kill-after", "5", "--recover", "--backend", "sqlite",
-            "--db-path", "x.db", "--transport", "http",
+            "load", "--smoke", "--kill-after", "5", "--recover", "--backend", "sqlite",
+            "--db-path", str(tmp_path / "x.db"), "--transport", "cluster",
         ]
         assert main(argv) == 1
-        assert "--transport inproc" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "kill/recover run failed" in out and "transport='cluster'" in out
+
+    def test_chaos_smoke_kill_after_reshard_over_http(self, capsys, tmp_path):
+        argv = [
+            "load", "--smoke", "--backend", "sqlite",
+            "--db-path", str(tmp_path / "chaos.db"), "--transport", "http",
+            "--reshard-at", "4", "--reshard-to", "3",
+            "--kill-after", "20", "--recover", "--checkpoint-every", "64",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "resharded 2 -> 3 shard(s) after 4/49" in out
+        assert "killed after 20/49" in out
+        assert "byte-identical" in out
 
     def test_chaos_flags_must_be_used_together(self, capsys):
         assert main(["load", "--kill-after", "5"]) == 1

@@ -47,27 +47,11 @@ def rule_lines(findings, rule: str) -> list[int]:
 class TestRuleFixtures:
     """Each rule fires on its bad fixture at exact lines, never on the good."""
 
-    def test_r001_event_loop_blocking(self):
-        findings = analyze_fixture("r001_bad.py")
-        assert rule_lines(findings, "R001") == [10, 11, 12, 14, 17]
-        assert analyze_fixture("r001_good.py") == []
-
-    def test_r001_messages_carry_fixits(self):
-        findings = analyze_fixture("r001_bad.py")
-        assert any("asyncio.sleep" in f.fixit for f in findings)
-        assert any("run_in_executor" in f.fixit for f in findings)
-
     def test_r002_guarded_by(self):
         findings = analyze_fixture("r002_bad.py")
-        assert rule_lines(findings, "R002") == [13, 17, 20, 29]
+        assert rule_lines(findings, "R002") == [12, 16]
+        assert all("guarded-by _lock" in f.message for f in findings)
         assert analyze_fixture("r002_good.py") == []
-
-    def test_r002_distinguishes_lock_and_loop_guards(self):
-        findings = analyze_fixture("r002_bad.py")
-        by_line = {f.line: f.message for f in findings}
-        assert "guarded-by _lock" in by_line[13]
-        assert "guarded-by event-loop" in by_line[20]
-        assert "handed to a thread/executor" in by_line[29]
 
     def test_r003_strict_json(self):
         # Analyzed under a wire-facing relpath so the loads clause applies.
@@ -227,8 +211,9 @@ class TestLintCli:
     def test_lint_rules_catalogue(self, capsys):
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R001", "R002", "R003", "R004", "R005", "R006"):
+        for code in ("R002", "R003", "R004", "R005", "R006"):
             assert code in out
+        assert "R001" not in out
 
     def test_lint_reports_findings_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

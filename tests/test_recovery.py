@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import ChatMessage, Interaction, InteractionKind, RedDot, Video
-from repro.loadgen import LoadGenerator, LoadWorkload, WorkloadSpec, run_kill_recover
+from repro.loadgen import KILL, LoadGenerator, LoadWorkload, WorkloadSpec, reshard_to, run_load
 from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
 from repro.platform.api import SimulatedStreamingAPI
 from repro.platform.backends import InMemoryStore, SQLiteStore
@@ -474,24 +474,21 @@ class TestCrashRecovery:
         spec = WorkloadSpec(
             channels=2, viewers=30, duration=900.0, batch_size=48, seed=7
         )
-        report = run_kill_recover(
-            spec,
-            fitted_initializer,
-            db_path=tmp_path / "chaos.db",
-            shards=2,
-            kill_after=kill_after,
+        report = _kill_run(
+            spec, fitted_initializer, tmp_path / "chaos.db", [(kill_after, KILL)],
             checkpoint_every=64,
         )
+        (kill,) = report.faults
         assert report.ok, f"divergent channels: {report.divergences}"
-        assert report.killed_after == min(kill_after, report.total_batches)
+        assert kill.after == min(kill_after, report.total_batches)
         if kill_after > 0:
             # Channels that opened before the kill must all come back.
-            assert report.sessions_recovered >= 1
+            assert kill.sessions_recovered >= 1
         else:
             # Nothing was live yet; recovery has nothing to rebuild and the
             # whole workload is simply re-driven.
-            assert report.sessions_recovered == 0
-            assert report.events_redriven == report.total_events
+            assert kill.sessions_recovered == 0
+            assert kill.events_redriven == report.total_events
 
 
 # The play-heavy fleet of ``repro load --channels 3 --viewers 900 --duration
@@ -501,6 +498,20 @@ class TestCrashRecovery:
 # Replaying a mixed suffix chat-first (ignoring the after_chat stamps)
 # diverges at every kill point of TestReplayOrder.
 PLAY_HEAVY = WorkloadSpec(channels=3, viewers=900, duration=1800.0, batch_size=16)
+
+
+def _kill_run(spec, initializer, db_path, schedule, *, shards=2, workers=2, **kwargs):
+    """One oracle-checked load run with a fault schedule on a SQLite tier."""
+    return run_load(
+        spec,
+        initializer,
+        shards=shards,
+        workers=workers,
+        backend="sqlite",
+        db_path=db_path,
+        schedule=schedule,
+        **kwargs,
+    )
 
 
 def _tier(initializer, backend="sqlite", db_path=None, checkpoint_every=100_000):
@@ -548,16 +559,28 @@ class TestReplayOrder:
     ):
         # No cadence checkpoint fires: each session recovers from its
         # start_live snapshot plus a long mixed chat/plays suffix.
-        report = run_kill_recover(
-            PLAY_HEAVY,
-            fitted_initializer,
-            db_path=tmp_path / "heavy.db",
-            shards=2,
-            kill_after=kill_after,
-            checkpoint_every=100_000,
+        report = _kill_run(
+            PLAY_HEAVY, fitted_initializer, tmp_path / "heavy.db",
+            [(kill_after, KILL)], workers=1, checkpoint_every=100_000,
         )
+        (kill,) = report.faults
         assert report.ok, f"divergent channels: {report.divergences}"
-        assert report.chat_replayed > 0 and report.plays_replayed > 0
+        assert kill.chat_replayed > 0 and kill.plays_replayed > 0
+
+    @pytest.mark.parametrize("kill_after", [40, 80, 120, 200, 300])
+    def test_play_heavy_kill_points_on_the_worker_pool(
+        self, fitted_initializer, tmp_path, kill_after
+    ):
+        # Three workers drive the three channels concurrently up to the
+        # barrier and after the recovery; the fingerprints must still be
+        # the sequential ones.
+        report = _kill_run(
+            PLAY_HEAVY, fitted_initializer, tmp_path / "heavy.db",
+            [(kill_after, KILL)], workers=3, checkpoint_every=100_000,
+        )
+        (kill,) = report.faults
+        assert report.ok, f"divergent channels: {report.divergences}"
+        assert kill.chat_replayed > 0 and kill.plays_replayed > 0
 
     def test_stamped_channel_survives_migration_then_crash(
         self, fitted_initializer, tmp_path
@@ -601,13 +624,62 @@ class TestReplayOrder:
         stale = tmp_path / "chaos.shard1.db"
         stale.write_bytes(b"")
         with pytest.raises(ValidationError, match="chaos.shard1.db"):
-            run_kill_recover(
-                PLAY_HEAVY,
-                fitted_initializer,
-                db_path=tmp_path / "chaos.db",
-                shards=2,
-                kill_after=1,
+            _kill_run(PLAY_HEAVY, fitted_initializer, tmp_path / "chaos.db", [(1, KILL)])
+
+
+# The smoke fleet of ``repro load --smoke`` (49 batches of 64 events).
+SMOKE = WorkloadSpec(channels=3, viewers=60, duration=1200.0, batch_size=64)
+
+
+class TestFaultSchedule:
+    """Kills combined with other faults and transports on one drive loop."""
+
+    def test_kill_after_a_reshard(self, fitted_initializer, tmp_path):
+        report = _kill_run(
+            SMOKE, fitted_initializer, tmp_path / "grown.db",
+            [(4, reshard_to(3)), (20, KILL)], checkpoint_every=64,
+        )
+        reshard, kill = report.faults
+        assert report.ok, report.describe()
+        assert (reshard.old_shards, reshard.new_shards, reshard.after) == (2, 3, 4)
+        # The fresh tier reopens all three files the reshard left behind.
+        assert (kill.action, kill.after, kill.new_shards) == (KILL, 20, 3)
+        assert kill.sessions_recovered == SMOKE.channels
+        assert report.shards == 3
+
+    def test_kill_over_http(self, fitted_initializer, tmp_path):
+        report = _kill_run(
+            PLAY_HEAVY, fitted_initializer, tmp_path / "wire.db",
+            [(80, KILL)], transport="http", checkpoint_every=100_000,
+        )
+        (kill,) = report.faults
+        assert report.ok, report.describe()
+        assert report.transport == "http"
+        assert kill.chat_replayed > 0 and kill.plays_replayed > 0
+
+    def test_kill_over_cluster_is_refused(self, fitted_initializer, tmp_path):
+        with pytest.raises(ValidationError, match="cluster"):
+            _kill_run(
+                SMOKE, fitted_initializer, tmp_path / "fleet.db", [(5, KILL)],
+                transport="cluster",
             )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="placement is not persisted (ROADMAP item 4): the fresh tier "
+        "routes a migrated channel to its ring owner, which forgot its rows",
+    )
+    def test_standalone_migration_then_kill(self, fitted_initializer, tmp_path):
+        moving = LoadWorkload.from_spec(SMOKE).batches()[0].video_id
+
+        def migrate_channel(tier):
+            return tier.migrate_channel(moving, (tier.shard_index(moving) + 1) % tier.n_shards)
+
+        report = _kill_run(
+            SMOKE, fitted_initializer, tmp_path / "pinned.db",
+            [(5, migrate_channel), (20, KILL)], checkpoint_every=64,
+        )
+        assert report.ok, report.describe()
 
 
 # The v2 ``interactions`` table: the format before the after_chat stamp.

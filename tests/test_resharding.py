@@ -5,7 +5,7 @@ Three properties matter:
 * **losslessness** — migrating a live channel between shards (in process or
   across worker processes) and resharding the whole tier mid-run must leave
   every channel's persisted state byte-identical to an undisturbed run: the
-  oracle of :func:`repro.loadgen.run_reshard`;
+  oracle of :func:`repro.loadgen.oracle_fingerprints`;
 * **protocol** — a worker answers ``409`` for channels its placement map
   disowns (stale router, mid-migration, reshard commit barrier) and the
   client surfaces it as :class:`WrongShardError`, which is what lets a
@@ -26,7 +26,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.types import VideoChatLog
-from repro.loadgen import WorkloadSpec, run_reshard
+from repro.loadgen import LoadWorkload, WorkloadSpec, reshard_to, run_load
 from repro.platform import codecs, surface
 from repro.platform.backends import SQLiteStore
 from repro.platform.client import LightorClient
@@ -119,20 +119,48 @@ class TestOnlineReshardInproc:
     def test_mid_run_reshard_is_byte_identical(
         self, fitted_initializer, shards, to_shards
     ):
-        report = run_reshard(
+        report = run_load(
             SPEC,
             fitted_initializer,
             shards=shards,
-            to_shards=to_shards,
-            reshard_after=2,
             workers=2,
             transport="inproc",
+            schedule=[(2, reshard_to(to_shards))],
         )
+        (fault,) = report.faults
         assert report.ok, report.describe()
         assert report.divergences == []
-        assert (report.old_shards, report.new_shards) == (shards, to_shards)
-        assert report.epoch > 0
-        assert all(pause >= 0.0 for pause in report.pause_seconds)
+        assert (fault.old_shards, fault.new_shards) == (shards, to_shards)
+        assert fault.epoch > 0
+        assert all(pause >= 0.0 for pause in fault.pause_seconds)
+
+    def test_reshard_at_zero_runs_before_the_first_ingest(self, fitted_initializer):
+        """"After N batches" means the same for every action: 0 is before
+        any ingest, so the reshard finds no channel with traffic to move."""
+        with_traffic = {batch.video_id for batch in LoadWorkload.from_spec(SPEC).batches()}
+        grow = reshard_to(3)
+        seen = []
+
+        def reshard(tier):
+            seen.append(with_traffic & set(tier.list_channels()))
+            return grow(tier)
+
+        report = run_load(
+            SPEC, fitted_initializer, shards=2, workers=2, schedule=[(0, reshard)]
+        )
+        (fault,) = report.faults
+        assert report.ok, report.describe()
+        assert seen == [set()]
+        assert (fault.after, fault.channels_moved) == (0, 0)
+
+    def test_reshard_over_http(self, fitted_initializer):
+        report = run_load(
+            SPEC, fitted_initializer, shards=2, workers=2, transport="http",
+            schedule=[(2, reshard_to(3))],
+        )
+        (fault,) = report.faults
+        assert report.ok, report.describe()
+        assert (report.transport, fault.new_shards, report.shards) == ("http", 3, 3)
 
 
 class TestOnlineReshardCluster:
@@ -142,18 +170,18 @@ class TestOnlineReshardCluster:
     ):
         """Grow spawns a worker process mid-run, shrink drains and SIGTERMs
         one; either way every fingerprint matches the undisturbed run."""
-        report = run_reshard(
+        report = run_load(
             SPEC,
             fitted_initializer,
             shards=shards,
-            to_shards=to_shards,
-            reshard_after=2,
             workers=2,
             transport="cluster",
+            schedule=[(2, reshard_to(to_shards))],
         )
+        (fault,) = report.faults
         assert report.ok, report.describe()
         assert report.divergences == []
-        assert (report.old_shards, report.new_shards) == (shards, to_shards)
+        assert (fault.old_shards, fault.new_shards) == (shards, to_shards)
 
 
 class TestWrongShardProtocol:
