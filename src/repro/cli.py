@@ -721,7 +721,14 @@ def _command_stream(
     return exit_code
 
 
-def _command_recover(db_path: str, shards: int, seed: int, end: bool) -> int:
+def _open_durable_tier(db_path: str, shards: int, seed: int):
+    """The sharded tier over a durable deployment's files, or ``None`` after
+    printing why it cannot be opened.
+
+    Session checkpoints deliberately do not embed the trained model (it is
+    shared, read-only serving state); it is retrained exactly as
+    `stream`/`load` did, deterministically from the seed.
+    """
     import sqlite3
 
     from repro import LightorConfig
@@ -730,23 +737,27 @@ def _command_recover(db_path: str, shards: int, seed: int, end: bool) -> int:
     from repro.platform.sharding import ShardedLightorService
     from repro.utils.validation import ValidationError
 
-    if shards < 1:
-        print("--shards must be at least 1", flush=True)
-        return 1
-    # Session checkpoints deliberately do not embed the trained model (it is
-    # shared, read-only serving state); retrain it exactly as `stream`/`load`
-    # did — deterministically from the seed.
     dataset = build_dataset(DatasetSpec.dota2(size=1, seed=seed))
     initializer = HighlightInitializer(config=LightorConfig())
     initializer.fit([dataset[0].training_pair])
-
     try:
-        service = ShardedLightorService.create(
+        return ShardedLightorService.create(
             shards, initializer, backend="sqlite", db_path=db_path,
             checkpoint_every=500,
         )
     except (ValidationError, sqlite3.Error) as error:
         print(f"cannot open the service tier: {error}", flush=True)
+        return None
+
+
+def _command_recover(db_path: str, shards: int, seed: int, end: bool) -> int:
+    from repro.utils.validation import ValidationError
+
+    if shards < 1:
+        print("--shards must be at least 1", flush=True)
+        return 1
+    service = _open_durable_tier(db_path, shards, seed)
+    if service is None:
         return 1
     finalized = False
     try:
@@ -798,40 +809,24 @@ def _command_recover(db_path: str, shards: int, seed: int, end: bool) -> int:
 def _command_reshard(args) -> int:
     import sqlite3
 
-    from repro import LightorConfig
-    from repro.core.initializer.initializer import HighlightInitializer
-    from repro.datasets import DatasetSpec, build_dataset
-    from repro.platform.sharding import ShardedLightorService
     from repro.utils.validation import ValidationError
 
     if args.shards < 1 or args.to < 1:
         print("--shards and --to must be at least 1", flush=True)
         return 1
-    # Same deterministic retraining contract as `recover`: checkpoints do not
-    # embed the model, the seed does.
-    dataset = build_dataset(DatasetSpec.dota2(size=1, seed=args.seed))
-    initializer = HighlightInitializer(config=LightorConfig())
-    initializer.fit([dataset[0].training_pair])
-
-    try:
-        service = ShardedLightorService.create(
-            args.shards, initializer, backend="sqlite", db_path=args.db_path,
-            checkpoint_every=500,
-        )
-    except (ValidationError, sqlite3.Error) as error:
-        print(f"cannot open the service tier: {error}", flush=True)
+    service = _open_durable_tier(args.db_path, args.shards, args.seed)
+    if service is None:
         return 1
     try:
         report = service.reshard(args.to)
     except (ValidationError, sqlite3.Error) as error:
         print(f"reshard failed: {error}", flush=True)
+        return 1
+    finally:
+        # Release only — no finalize: any checkpointed sessions moved with
+        # their channels and must stay recoverable on the new layout.
         for shard in service.shards:
             shard.store.close()
-        return 1
-    # Release only — no finalize: any checkpointed sessions moved with their
-    # channels and must stay recoverable on the new layout.
-    for shard in service.shards:
-        shard.store.close()
     print(
         f"resharded {report.old_n_shards} -> {report.new_n_shards} shard(s): "
         f"{report.moved} channel(s) moved, placement epoch {report.epoch}"
@@ -1146,7 +1141,7 @@ def _command_load(args) -> int:
         spec_kwargs = dict(
             channels=3, viewers=60, duration=1200.0, batch_size=64, seed=args.seed
         )
-        shards, workers = 2, 2
+        shards, workers = args.shards, 2
     else:
         spec_kwargs = dict(
             channels=args.channels,

@@ -60,7 +60,8 @@ from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
 from repro.loadgen.workload import LoadWorkload, WorkBatch
 from repro.platform import codecs
 from repro.platform.backends import is_memory_path
-from repro.platform.sharding import ReshardReport, ShardedLightorService, shard_db_path
+from repro.platform.placement import ReshardReport
+from repro.platform.sharding import ShardedLightorService, shard_db_path
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = [
@@ -103,7 +104,7 @@ class FaultOutcome:
 
     ``after`` is the number of batches ingested before it ran (capped at
     the workload's batch count).  A kill fills the recovery counts; an
-    action returning a :class:`~repro.platform.sharding.ReshardReport`
+    action returning a :class:`~repro.platform.placement.ReshardReport`
     fills the shard counts, ``channels_moved``, ``epoch`` and the
     per-channel migration pauses.
     """

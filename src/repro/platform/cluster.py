@@ -27,9 +27,11 @@ the authoritative copy and pushes it to every worker over
 it does not own with ``409 Conflict``, and the front door reacts to a 409
 by refreshing its map (``GET /placement`` — which also re-learns the
 worker address list after a reshard) and retrying against the new owner.
-:meth:`ShardClusterSupervisor.reshard` moves channels between *live*
-workers with the three-step choreography (``migrate-out`` → ``migrate-in``
-→ ``forget``), spawning workers on grow and draining emptied workers on
+:meth:`ShardClusterSupervisor.migrate_channel` and
+:meth:`~ShardClusterSupervisor.reshard` run the one choreography of
+:mod:`repro.platform.placement` over a :class:`RemoteShard` handle per
+worker (``migrate-out`` → ``migrate-in`` → ``forget`` behind
+``/admin/fence``), spawning workers on grow and draining emptied workers on
 shrink, while channels that do not move keep serving throughout.
 
 The child protocol is deliberately thin: the worker prints one
@@ -54,18 +56,19 @@ import sys
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.platform import codecs, surface, wire
 from repro.platform.backends import is_memory_path
 from repro.platform.client import GatewayError, LightorClient
-from repro.platform.placement import PlacementMap, WrongShardError
-from repro.platform.sharding import ChannelMigration, ReshardReport, shard_db_path
+from repro.platform.placement import PlacementMap, WrongShardError, migrate, reshard
+from repro.platform.sharding import shard_db_path
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError, require_positive
 
-__all__ = ["ClusterFrontDoor", "ShardClusterSupervisor", "ShardWorker"]
+__all__ = ["ClusterFrontDoor", "RemoteShard", "ShardClusterSupervisor", "ShardWorker"]
 
 _LOGGER = get_logger("platform.cluster")
 
@@ -89,6 +92,8 @@ class ShardWorker:
         self.port: int | None = None
         self.log: deque[str] = deque(maxlen=_LOG_LINES)
         self.ready = threading.Event()
+        # The supervisor's kept-alive control-plane client, once it listens.
+        self.admin: LightorClient | None = None
         self._pump: threading.Thread | None = None
 
     # ------------------------------------------------------------- lifecycle
@@ -144,6 +149,56 @@ class ShardWorker:
         """Wait for the stdout pump to observe EOF (call after the child died)."""
         if self._pump is not None:
             self._pump.join(timeout=timeout)
+
+
+def _stop_workers(workers: Sequence[ShardWorker], timeout: float) -> list[int]:
+    """SIGTERM every live worker and wait; returns their exit codes.
+
+    A worker still running ``timeout`` seconds after its SIGTERM is killed
+    (exit code < 0); one that was never spawned contributes ``-1``.
+    """
+    for worker in workers:
+        if worker.admin is not None:
+            worker.admin.close()
+        if worker.alive:
+            worker.process.terminate()
+    codes: list[int] = []
+    for worker in workers:
+        if worker.process is None:
+            codes.append(-1)
+            continue
+        try:
+            worker.process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            _LOGGER.warning("shard %d ignored SIGTERM for %gs; killing", worker.index, timeout)
+            worker.process.kill()
+            worker.process.wait()
+        worker.join_pump()
+        codes.append(worker.process.returncode)
+    return codes
+
+
+class RemoteShard(NamedTuple):
+    """A worker gateway as a migration handle.
+
+    Each step is one call on the supervisor's admin client for the worker.
+    The fence posts ``/admin/fence`` on entry, which returns once every
+    request the worker admitted before it has finished; the placement
+    published before it keeps later requests for a moving channel out, so
+    exiting it releases nothing.
+    """
+
+    client: LightorClient
+
+    list_channels = property(lambda self: self.client.list_channels)
+    migrate_out = property(lambda self: self.client.migrate_out)
+    migrate_in = property(lambda self: self.client.migrate_in)
+    forget_channel = property(lambda self: self.client.forget_channel)
+
+    @contextmanager
+    def fence(self):
+        self.client.fence()
+        yield
 
 
 class ShardClusterSupervisor:
@@ -285,14 +340,6 @@ class ShardClusterSupervisor:
             command += ["--k", str(self.live_k)]
         return command, db_path
 
-    def _child_env(self) -> dict[str, str]:
-        """The child environment, with ``repro`` guaranteed importable."""
-        env = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_dir if not existing else os.pathsep.join([src_dir, existing])
-        return env
-
     # -------------------------------------------------------------- lifecycle
     def start(self) -> "ShardClusterSupervisor":
         """Spawn every worker and wait for the whole cluster to be ready.
@@ -306,15 +353,40 @@ class ShardClusterSupervisor:
         if self._started:
             raise ValidationError("cluster already started")
         self._started = True
-        env = self._child_env()
-        deadline = time.monotonic() + self.boot_timeout
         try:
-            for index in range(self.n_shards):
+            self.workers = self._boot(range(self.n_shards))
+            self.publish()
+        except BaseException:
+            _stop_workers(self.workers, 5.0)
+            raise
+        _LOGGER.info(
+            "cluster up: %d shard worker(s) at %s",
+            self.n_shards,
+            ", ".join(f"{w.host}:{w.port}" for w in self.workers),
+        )
+        return self
+
+    def _boot(self, indices: Iterable[int]) -> list[ShardWorker]:
+        """Spawn one worker per shard index and wait until each serves.
+
+        Any worker dying, or ``boot_timeout`` expiring, before both
+        readiness barriers stops every worker this call spawned and raises
+        with the culprit's output tail.
+        """
+        # The child environment, with ``repro`` guaranteed importable.
+        env = dict(os.environ)
+        src_dir = str(Path(__file__).resolve().parents[2])
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src_dir if not existing else os.pathsep.join([src_dir, existing])
+        deadline = time.monotonic() + self.boot_timeout
+        fresh: list[ShardWorker] = []
+        try:
+            for index in indices:
                 command, db_path = self._worker_command(index)
                 worker = ShardWorker(index, command, db_path)
                 worker.spawn(env)
-                self.workers.append(worker)
-            for worker in self.workers:
+                fresh.append(worker)
+            for worker in fresh:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not worker.ready.wait(timeout=remaining):
                     raise RuntimeError(
@@ -330,23 +402,11 @@ class ShardClusterSupervisor:
                         f"{worker.process.returncode} during boot; its output "
                         f"was:\n{worker.log_tail()}"
                     )
-            self._health_barrier(deadline)
-            self._push_placement()
-        except BaseException:
-            self._teardown_hard()
-            raise
-        _LOGGER.info(
-            "cluster up: %d shard worker(s) at %s",
-            self.n_shards,
-            ", ".join(f"{w.host}:{w.port}" for w in self.workers),
-        )
-        return self
-
-    def _health_barrier(self, deadline: float, workers: Sequence[ShardWorker] | None = None) -> None:
-        """Block until every worker's ``/healthz`` answers (or the deadline)."""
-        for worker in self.workers if workers is None else workers:
-            client = LightorClient(worker.host, worker.port, timeout=self.client_timeout)
-            try:
+                worker.admin = LightorClient(
+                    worker.host, worker.port, timeout=self.client_timeout,
+                    wire_codec=self.wire_codec,
+                )
+            for worker in fresh:
                 while True:
                     if not worker.alive:
                         worker.process.wait()
@@ -356,8 +416,7 @@ class ShardClusterSupervisor:
                             f"its output was:\n{worker.log_tail()}"
                         )
                     try:
-                        payload = client.healthz()
-                        if payload.get("status") == "ok":
+                        if worker.admin.healthz().get("status") == "ok":
                             break
                     except OSError:
                         pass
@@ -367,23 +426,10 @@ class ShardClusterSupervisor:
                             f"did not answer /healthz within {self.boot_timeout:g}s"
                         )
                     time.sleep(0.05)
-            finally:
-                client.close()
-
-    def _teardown_hard(self) -> None:
-        """Boot-failure cleanup: no drain, just make every child gone."""
-        for worker in self.workers:
-            if worker.alive:
-                worker.process.terminate()
-        for worker in self.workers:
-            if worker.process is None:
-                continue
-            try:
-                worker.process.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                worker.process.kill()
-                worker.process.wait()
-            worker.join_pump()
+        except BaseException:
+            _stop_workers(fresh, 5.0)
+            raise
+        return fresh
 
     def dead_shards(self) -> list[int]:
         """Indices of workers that have exited (empty on a healthy cluster).
@@ -407,225 +453,42 @@ class ShardClusterSupervisor:
         """
         if self._exit_codes is not None:
             return self._exit_codes
-        codes: list[int] = []
-        for worker in self.workers:
-            if worker.alive:
-                worker.process.terminate()
-        for worker in self.workers:
-            if worker.process is None:
-                codes.append(-1)
-                continue
-            try:
-                worker.process.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                _LOGGER.warning(
-                    "shard %d ignored SIGTERM for %gs; killing", worker.index, timeout
-                )
-                worker.process.kill()
-                worker.process.wait()
-            worker.join_pump()
-            codes.append(worker.process.returncode)
-        self._exit_codes = codes
-        return codes
+        self._exit_codes = _stop_workers(self.workers, timeout)
+        return self._exit_codes
 
     # --------------------------------------------------------- placement plane
-    def _admin_client(self, worker: ShardWorker) -> LightorClient:
-        """A fresh control-plane client for one worker (caller closes it)."""
-        return LightorClient(
-            worker.host, worker.port, timeout=self.client_timeout,
-            wire_codec=self.wire_codec,
-        )
+    # The one choreography of repro.platform.placement, run over this fleet's
+    # RemoteShard handles and the fleet hooks below: grow spawns workers,
+    # retire SIGTERMs drained ones, and unmoved channels keep serving.
+    migrate_channel = migrate
+    reshard = reshard
 
-    def _push_placement(self) -> None:
-        """Install the supervisor's placement map on every live worker.
-
-        The push is synchronous and ordered before whatever state change it
-        licenses (a migration's data movement, a reshard's commit): a worker
-        that has answered the POST is guaranteed to 409 traffic for channels
-        the new map takes away from it, which is what makes the front door's
-        refresh-and-retry loop lossless.
-        """
-        payload = codecs.placement_map_to_dict(self.placement)
-        addresses = [[worker.host, worker.port] for worker in self.workers]
-        for worker in self.workers:
-            client = self._admin_client(worker)
-            try:
-                client.put_placement(payload, addresses)
-            finally:
-                client.close()
-
-    def _channel_census(self) -> set[str]:
-        """Every channel persisted anywhere in the fleet (union of workers)."""
-        channels: set[str] = set()
-        for worker in self.workers:
-            client = self._admin_client(worker)
-            try:
-                channels.update(client.list_channels())
-            finally:
-                client.close()
-        return channels
-
-    def migrate_channel(self, video_id: str, dst_shard: int) -> ChannelMigration:
-        """Move one channel between live workers (out → in → forget).
-
-        The cross-process data plane: the channel is marked in-flight and the
-        map pushed (every worker now 409s its traffic), the source worker
-        checkpoints + exports it, the destination imports it (resuming the
-        live session from the bundled checkpoint), the source forgets its
-        rows, and the completed map is pushed.  A failure mid-move aborts the
-        placement change and re-pushes — the source still holds every row, so
-        nothing is lost.  The measured ``seconds`` is the channel's whole
-        unavailability window.
-        """
-        if not 0 <= dst_shard < len(self.workers):
-            raise ValidationError(
-                f"destination shard {dst_shard} does not exist "
-                f"(cluster has {len(self.workers)} worker(s))"
-            )
-        src = self.placement.shard_for(video_id)
-        if src == dst_shard:
-            return ChannelMigration(
-                video_id=video_id, src=src, dst=dst_shard,
-                was_live=False, seconds=0.0, moved=False,
-            )
-        started = time.perf_counter()
-        self.placement.begin_migration(video_id)
-        source = self._admin_client(self.workers[src])
-        destination = self._admin_client(self.workers[dst_shard])
-        try:
-            self._push_placement()
-            out = source.migrate_out(video_id)
-            destination.migrate_in(out["bundle"], was_live=out["was_live"])
-            source.forget_channel(video_id)
-        except BaseException:
-            self.placement.abort_migration(video_id)
-            self._push_placement()
-            raise
-        finally:
-            source.close()
-            destination.close()
-        self.placement.complete_migration(video_id, dst_shard)
-        self._push_placement()
-        return ChannelMigration(
-            video_id=video_id, src=src, dst=dst_shard,
-            was_live=bool(out["was_live"]),
-            seconds=time.perf_counter() - started,
-        )
-
-    def reshard(self, new_n_shards: int) -> ReshardReport:
-        """Online reshard: grow or shrink the live worker fleet in place.
-
-        Grow spawns the new workers first (boot-checked exactly like
-        :meth:`start`), then drains the minimal channel set onto them one
-        migration at a time; shrink migrates every channel off the doomed
-        workers, then SIGTERMs them.  Channels that do not move keep serving
-        throughout — only the channel currently in flight pays a pause.
-        """
-        require_positive(new_n_shards, "new_n_shards")
+    @property
+    def handles(self) -> list[RemoteShard]:
+        """One migration handle per worker, in shard order."""
         if not self._started or self._exit_codes is not None:
-            raise ValidationError("reshard needs a started, running cluster")
-        old_n_shards = len(self.workers)
-        if new_n_shards == old_n_shards:
-            return ReshardReport(
-                old_n_shards=old_n_shards, new_n_shards=new_n_shards,
-                epoch=self.placement.epoch, migrations=(),
-            )
-        env = self._child_env()
-        if new_n_shards > old_n_shards:
-            deadline = time.monotonic() + self.boot_timeout
-            fresh: list[ShardWorker] = []
-            for index in range(old_n_shards, new_n_shards):
-                command, db_path = self._worker_command(index)
-                worker = ShardWorker(index, command, db_path)
-                worker.spawn(env)
-                fresh.append(worker)
-            try:
-                for worker in fresh:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not worker.ready.wait(timeout=remaining):
-                        raise RuntimeError(
-                            f"shard {worker.index} did not report readiness within "
-                            f"{self.boot_timeout:g}s; its output was:\n{worker.log_tail()}"
-                        )
-                    if worker.port is None:
-                        worker.process.wait()
-                        raise RuntimeError(
-                            f"shard {worker.index} exited with code "
-                            f"{worker.process.returncode} during reshard boot; its "
-                            f"output was:\n{worker.log_tail()}"
-                        )
-                self._health_barrier(deadline, fresh)
-            except BaseException:
-                for worker in fresh:
-                    if worker.alive:
-                        worker.process.terminate()
-                for worker in fresh:
-                    if worker.process is not None:
-                        worker.process.wait()
-                        worker.join_pump()
-                raise
-            self.workers.extend(fresh)
-            self._push_placement()
+            raise ValidationError("migration needs a started, running cluster")
+        return [RemoteShard(worker.admin) for worker in self.workers]
 
-        # Bulk phase: census the fleet and drain the planned channel set
-        # with no global barrier — unmoved channels keep serving, only the
-        # channel in flight pays a pause.
-        plan = self.placement.plan_reshard(sorted(self._channel_census()), new_n_shards)
-        migrations = [self.migrate_channel(move.video_id, move.dst) for move in plan]
+    def grow(self, n_shards: int) -> None:
+        """Spawn workers up to ``n_shards``, boot-checked like :meth:`start`."""
+        self.workers.extend(self._boot(range(len(self.workers), n_shards)))
+        self.n_shards = n_shards
 
-        # Commit barrier: channels created *during* the bulk phase were
-        # placed by the old ring and would be stranded by the ring swap
-        # (traffic re-routes, their rows do not).  Freeze the map (every
-        # worker 409s all channel traffic once the push lands), fence each
-        # worker so requests admitted before the freeze have finished, take
-        # a now-provably-complete census, and sweep the stragglers.  The
-        # barrier lasts one sweep — milliseconds — and ends at commit.
-        self.placement.freeze()
-        try:
-            self._push_placement()
-            for worker in self.workers:
-                client = self._admin_client(worker)
-                try:
-                    client.fence()
-                finally:
-                    client.close()
-            follow_up = self.placement.plan_reshard(
-                sorted(self._channel_census()), new_n_shards
-            )
-            migrations.extend(
-                self.migrate_channel(move.video_id, move.dst) for move in follow_up
-            )
-        except BaseException:
-            self.placement.thaw()
-            self._push_placement()
-            raise
-        epoch = self.placement.commit_reshard(new_n_shards)
+    def retire(self, n_shards: int) -> None:
+        """SIGTERM the drained workers from ``n_shards`` on and wait."""
+        drained = self.workers[n_shards:]
+        del self.workers[n_shards:]
+        _stop_workers(drained, 30.0)
+        self.n_shards = n_shards
 
-        if new_n_shards < old_n_shards:
-            drained = self.workers[new_n_shards:]
-            del self.workers[new_n_shards:]
-            for worker in drained:
-                if worker.alive:
-                    worker.process.terminate()
-            for worker in drained:
-                if worker.process is None:
-                    continue
-                try:
-                    worker.process.wait(timeout=30.0)
-                except subprocess.TimeoutExpired:
-                    worker.process.kill()
-                    worker.process.wait()
-                worker.join_pump()
-        self.n_shards = new_n_shards
-        self._push_placement()
-        _LOGGER.info(
-            "resharded cluster %d -> %d worker(s): %d channel(s) moved, epoch %d",
-            old_n_shards, new_n_shards, sum(m.moved for m in migrations), epoch,
-        )
-        return ReshardReport(
-            old_n_shards=old_n_shards, new_n_shards=new_n_shards,
-            epoch=epoch, migrations=tuple(migrations),
-        )
+    def publish(self) -> None:
+        """Install the supervisor's placement map on every worker.  A worker
+        that has answered the push 409s traffic for channels the map takes
+        away from it, so the front door's refresh-and-retry is lossless."""
+        payload = codecs.placement_map_to_dict(self.placement)
+        for worker in self.workers:
+            worker.admin.put_placement(payload, self.addresses)
 
     # ---------------------------------------------------------------- routing
     @property

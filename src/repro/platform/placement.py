@@ -20,12 +20,18 @@ per-layer, now shared by every router consulting the same map.
 
 The control-plane/data-plane split:
 
-* **control plane** (this module): who owns which channel, at which epoch.
-  Pure bookkeeping, serializable through :mod:`repro.platform.codecs`
-  strict-JSON, pushed to cluster workers over ``POST /placement``.
-* **data plane** (``sharding.migrate_channel`` / ``cluster.reshard``):
-  actually moving a channel's rows and live-session checkpoint between
-  stores, then committing the new ownership here.
+* **control plane** (:class:`PlacementMap`): who owns which channel, at
+  which epoch.  Pure bookkeeping, serializable through
+  :mod:`repro.platform.codecs` strict-JSON, pushed to cluster workers over
+  ``POST /placement``.
+* **data plane** (:func:`migrate` and :func:`reshard`, also here): the one
+  choreography that moves a channel's rows and live-session checkpoint
+  between shards and commits the new ownership on the map.  It is written
+  against a :class:`ShardHandle` per shard, so the in-process tier
+  (:class:`~repro.platform.sharding.ShardedLightorService`, whose handle's
+  fence is the shard lock) and the process cluster
+  (:class:`~repro.platform.cluster.ShardClusterSupervisor`, whose handle's
+  fence is ``POST /admin/fence``) run the same steps.
 
 A router holding a stale map learns about it through
 :class:`WrongShardError` — the ``409`` wire error a worker returns for a
@@ -38,16 +44,23 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
+import time
+from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Protocol
 
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = [
+    "ChannelMigration",
     "ChannelMove",
     "ConsistentHashRing",
     "PlacementMap",
+    "ReshardReport",
+    "ShardHandle",
     "WrongShardError",
+    "migrate",
+    "reshard",
 ]
 
 
@@ -390,3 +403,156 @@ class PlacementMap:
             self._frozen = bool(state.get("frozen", False))
             self._placements.clear()
             return True
+
+
+# ---------------------------------------------------------------- data plane
+@dataclass(frozen=True)
+class ChannelMigration:
+    """The outcome of one :func:`migrate`.
+
+    ``seconds`` is the channel's unavailability window: from marking it in
+    flight to publishing its new home.  ``moved`` is False when the channel
+    already lived on the destination and nothing happened.
+    """
+
+    video_id: str
+    src: int
+    dst: int
+    was_live: bool
+    seconds: float
+    moved: bool = True
+
+
+@dataclass(frozen=True)
+class ReshardReport:
+    """The outcome of one :func:`reshard`."""
+
+    old_n_shards: int
+    new_n_shards: int
+    epoch: int
+    migrations: tuple[ChannelMigration, ...] = ()
+
+    @property
+    def moved(self) -> int:
+        """Number of channels that actually changed shards."""
+        return sum(1 for m in self.migrations if m.moved)
+
+    def pause_seconds(self) -> list[float]:
+        """Per-channel unavailability windows, one per completed move."""
+        return [m.seconds for m in self.migrations if m.moved]
+
+
+class ShardHandle(Protocol):
+    """One shard as the choreography sees it: its channel census, the three
+    steps of a move, and a fence.  Steps run only inside the fence: once it
+    is entered no request that started before it is still running on the
+    shard, and none that could touch a moving channel starts until it
+    exits."""
+
+    def list_channels(self) -> list[str]: ...
+    def migrate_out(self, video_id: str) -> dict: ...
+    def migrate_in(self, bundle: dict, was_live: bool = False) -> str: ...
+    def forget_channel(self, video_id: str) -> bool: ...
+    def fence(self) -> AbstractContextManager: ...
+
+
+@contextmanager
+def _fenced(handles: Iterable[ShardHandle]):
+    """Hold every handle's fence, entered in the order given."""
+    with ExitStack() as stack:
+        for handle in handles:
+            stack.enter_context(handle.fence())
+        yield
+
+
+def migrate(fleet, video_id: str, dst_shard: int) -> ChannelMigration:
+    """Move one channel, rows and live session, to shard ``dst_shard``.
+
+    ``fleet`` is the deployment: its ``placement``, one
+    :class:`ShardHandle` per shard in ``handles``, ``grow(n)`` and
+    ``retire(n)`` to add shards up to ``n`` or shut down the drained ones
+    from ``n`` on, and ``publish()``, which makes the current placement
+    what every shard routes by.
+
+    Mark the channel in flight and publish (cluster workers now answer
+    ``409`` for it), fence the source and the destination (in shard order,
+    so concurrent moves cannot deadlock), export it from the source, import
+    it on the destination, make the source forget it and commit its new
+    home, all inside the fences; then release them and publish.  A request
+    that passed a worker's placement check before the publish finishes
+    before the export, and one that waited on a shard lock re-routes to the
+    new home.  Any failure aborts the move: the source still holds every
+    row.
+    """
+    handles, placement = fleet.handles, fleet.placement
+    if not 0 <= dst_shard < len(handles):
+        raise ValidationError(
+            f"dst_shard must name one of {len(handles)} shards, got {dst_shard!r}"
+        )
+    src = placement.shard_for(video_id)
+    if src == dst_shard:
+        return ChannelMigration(video_id, src, dst_shard, was_live=False, seconds=0.0, moved=False)
+    started = time.perf_counter()
+    placement.begin_migration(video_id)
+    try:
+        fleet.publish()
+        with _fenced(handles[index] for index in sorted((src, dst_shard))):
+            out = handles[src].migrate_out(video_id)
+            handles[dst_shard].migrate_in(out["bundle"], out["was_live"])
+            handles[src].forget_channel(video_id)
+            placement.complete_migration(video_id, dst_shard)
+    except BaseException:
+        placement.abort_migration(video_id)
+        fleet.publish()
+        raise
+    fleet.publish()
+    return ChannelMigration(
+        video_id, src, dst_shard, was_live=out["was_live"],
+        seconds=time.perf_counter() - started,
+    )
+
+
+def reshard(fleet, new_n_shards: int) -> ReshardReport:
+    """Online reshard: move ``fleet`` to ``new_n_shards`` shards.
+
+    Grow first, then plan the minimal move set from a census and run it
+    one :func:`migrate` at a time while unmoved channels keep serving.  A
+    channel created during those moves was placed by the old ring and
+    would be stranded by the ring swap, so the commit barrier freezes the
+    map, publishes it (workers answer ``409`` for every channel), fences
+    every shard, takes a census that is now complete, moves the
+    stragglers and swaps the ring before releasing.  The barrier lasts one
+    census sweep, not the bulk moves.  Then drained shards retire and the
+    committed map is published.
+    """
+    require_positive(new_n_shards, "new_n_shards")
+    placement = fleet.placement
+    old_n_shards = len(fleet.handles)
+    if new_n_shards == old_n_shards:
+        return ReshardReport(old_n_shards, new_n_shards, placement.epoch)
+    if new_n_shards > old_n_shards:
+        fleet.grow(new_n_shards)
+
+    def moves() -> list[ChannelMigration]:
+        census = []
+        for handle in fleet.handles:
+            with handle.fence():
+                census += handle.list_channels()
+        plan = placement.plan_reshard(census, new_n_shards)
+        return [migrate(fleet, move.video_id, move.dst) for move in plan]
+
+    migrations = moves()
+    placement.freeze()
+    try:
+        fleet.publish()
+        with _fenced(fleet.handles):
+            migrations += moves()
+            epoch = placement.commit_reshard(new_n_shards)
+    except BaseException:
+        placement.thaw()
+        fleet.publish()
+        raise
+    if new_n_shards < old_n_shards:
+        fleet.retire(new_n_shards)
+    fleet.publish()
+    return ReshardReport(old_n_shards, new_n_shards, epoch, tuple(migrations))

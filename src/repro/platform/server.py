@@ -637,12 +637,13 @@ class LightorGateway:
     def _fence(self) -> bool:
         """Wait until every request admitted so far has finished executing.
 
-        ``POST /admin/fence``, the reshard census barrier.  A supervisor that
-        (1) pushes a frozen placement — 409ing any later channel request at
-        admission, and at execution any request admitted just before — then
-        (2) fences, then (3) lists channels is therefore guaranteed a
-        complete census: no creation admitted under the old map can still be
-        in flight, and none can start afterwards.
+        ``POST /admin/fence``, a worker's fence in the migration
+        choreography.  A supervisor that (1) pushes a placement that takes
+        a channel away (in flight, or every channel when frozen) — 409ing
+        any later request for it at admission, and at execution any request
+        admitted just before — then (2) fences, then (3) exports or lists
+        channels is therefore guaranteed to see every write admitted under
+        the old map, and none can start afterwards.
         """
         with self._cond:
             fence = self._admitted

@@ -501,6 +501,59 @@ class LightorWebService:
             raise first_error
         return checkpointed
 
+    # -------------------------------------------------------------- migration
+    def list_channels(self) -> list[str]:
+        """Every stored channel id, sorted (a migration census)."""
+        return sorted(video.video_id for video in self.store.list_videos())
+
+    def migrate_out(self, video_id: str) -> dict:
+        """Step one of a move (out → in → forget): ``{bundle, was_live}``.
+
+        A live session is checkpointed and dropped *without* finalization,
+        so no eviction callback overwrites the stored dots.  The bundle
+        (:meth:`StorageBackend.export_channel`) carries every row and that
+        snapshot; the rows stay here until :meth:`forget_channel`.  A
+        channel with no stored rows is refused.
+        """
+        if not self.store.has_video(video_id):
+            raise ValidationError(
+                f"channel {video_id!r} has no stored rows here; "
+                "register or start it before migrating"
+            )
+        was_live = self._orchestrator is not None and self._orchestrator.has_session(video_id)
+        if was_live:
+            self._write_checkpoint(video_id, self._orchestrator.session(video_id))
+            self._orchestrator.drop_session(video_id)
+            self._drop_checkpoint_state(video_id)
+        return {"bundle": self.store.export_channel(video_id), "was_live": was_live}
+
+    def migrate_in(self, bundle: dict, was_live: bool = False) -> str:
+        """Step two: import a :meth:`migrate_out` bundle; the channel id.
+
+        A session the source reported live resumes through the recovery
+        path; an evicted one keeps its snapshot for a later ``start_live``.
+        On a non-checkpointing tier the snapshot was pure transport and is
+        deleted once consumed, as if the channel had never moved.
+        """
+        from repro.platform.recovery import check_snapshot_version, recover_session
+
+        video_id = self.store.import_channel(bundle)
+        payload = self.store.get_session_snapshot(video_id) if was_live else None
+        if payload is not None:
+            check_snapshot_version(video_id, payload)
+            if not payload["session"]["closed"]:
+                recover_session(self, video_id, payload)
+                if not self.checkpointing:
+                    self.store.delete_session_snapshot(video_id)
+        return video_id
+
+    def forget_channel(self, video_id: str) -> bool:
+        """Step three, after the destination imported the channel: drop its
+        rows and bookkeeping here.  Returns whether it existed."""
+        existed = self.store.delete_channel(video_id)
+        self._drop_checkpoint_state(video_id)
+        return existed
+
     # ---------------------------------------------------- checkpoint/recovery
     def checkpoint_live_session(self, video_id: str) -> dict:
         """Write a durable checkpoint of a live session right now.
@@ -513,58 +566,6 @@ class LightorWebService:
         payload = self._write_checkpoint(video_id, self.streaming.session(video_id))
         self._events_since_checkpoint[video_id] = 0
         return payload
-
-    def detach_channel(self, video_id: str) -> bool:
-        """Suspend one channel's live session for migration off this shard.
-
-        The per-channel analogue of :meth:`suspend`: the session's complete
-        in-memory state is written as a durable snapshot — migration always
-        checkpoints, whatever the configured cadence — then the session is
-        dropped *without* finalization, so no eviction callback fires and the
-        stored red dots are not overwritten with a premature closing result.
-        Returns whether a live session was detached (``False`` when the
-        channel is closed, evicted, or was never live here); in either case
-        the stored rows stay put for :meth:`StorageBackend.export_channel`
-        to bundle, the fresh snapshot riding along when one was written.
-        """
-        if self._orchestrator is None or not self._orchestrator.has_session(video_id):
-            return False
-        if not self.store.has_video(video_id):
-            raise ValidationError(
-                f"live session {video_id!r} has no stored video metadata; "
-                "it cannot be checkpointed for migration"
-            )
-        self._write_checkpoint(video_id, self._orchestrator.session(video_id))
-        self._orchestrator.drop_session(video_id)
-        self._drop_checkpoint_state(video_id)
-        return True
-
-    def attach_channel(self, video_id: str) -> bool:
-        """Resume a migrated-in channel's live session from its snapshot.
-
-        Runs exactly the recovery path — snapshot restore plus replay of any
-        chat/interaction rows persisted after it (an empty suffix when the
-        source detached cleanly).  Only call this for channels the source
-        reported live: a channel that was merely *checkpointed-then-evicted*
-        keeps its imported snapshot for a later ``start_live`` resume but
-        must not be resurrected into memory by the move itself.  Returns
-        whether a session was opened; a missing or closed snapshot is a
-        no-op.  On a non-checkpointing tier the snapshot was pure transport,
-        so it is deleted once consumed — leaving the destination's stored
-        state byte-identical to a channel that was never moved.
-        """
-        from repro.platform.recovery import check_snapshot_version, recover_session
-
-        payload = self.store.get_session_snapshot(video_id)
-        if payload is None:
-            return False
-        check_snapshot_version(video_id, payload)
-        if payload["session"]["closed"]:
-            return False
-        recover_session(self, video_id, payload)
-        if not self.checkpointing:
-            self.store.delete_session_snapshot(video_id)
-        return True
 
     def recover_live_sessions(self) -> list:
         """Rebuild every open session from its latest durable checkpoint.

@@ -22,12 +22,13 @@ that shard's re-entrant lock, which makes interleaved batch requests and
 live ingest thread-safe per shard while leaving the other shards fully
 concurrent.  Because placement can now *change* while calls are in flight,
 the router re-checks the placement after acquiring the shard lock and
-re-routes if a migration moved the channel in between (migrations hold both
-shard locks, so a call that owns the lock can never observe a half-moved
-channel).  The batched ingest surface (``ingest_chat_batch`` /
-``ingest_plays_batch``) holds the lock once per batch instead of once per
-event — under load that is the difference between convoying on the shard
-lock per message and contending once per hundreds of messages.
+re-routes if a migration moved the channel in between (a migration fences
+both shards by holding their locks, so a call that owns the lock can never
+observe a half-moved channel).  The batched ingest surface
+(``ingest_chat_batch`` / ``ingest_plays_batch``) holds the lock once per
+batch instead of once per event — under load that is the difference
+between convoying on the shard lock per message and contending once per
+hundreds of messages.
 
 Because every worker runs the same deterministic engines, a sharded service
 fed a given workload produces byte-identical red dots and highlight records
@@ -38,12 +39,12 @@ and ``tests/test_resharding.py`` hold it to that.
 
 from __future__ import annotations
 
+import json
 import threading
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core.config import LightorConfig
 from repro.core.initializer.initializer import HighlightInitializer
@@ -57,18 +58,21 @@ from repro.platform.backends import (
     is_memory_path,
 )
 from repro.platform.crawler import ChatCrawler
-from repro.platform.placement import ConsistentHashRing, PlacementMap
+from repro.platform.placement import ConsistentHashRing, PlacementMap, migrate, reshard
 from repro.platform.service import LightorWebService
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = [
-    "ChannelMigration",
     "ConsistentHashRing",
-    "ReshardReport",
+    "LocalShard",
     "ShardedLightorService",
     "shard_db_path",
 ]
+
+#: The meta key under which a durable shard file records the committed
+#: placement (:meth:`PlacementMap.describe`).
+PLACEMENT_META = "placement"
 
 
 def shard_db_path(path: str | Path, shard_index: int) -> str:
@@ -87,41 +91,29 @@ def shard_db_path(path: str | Path, shard_index: int) -> str:
     return str(base.with_name(f"{base.stem}.shard{shard_index}{base.suffix}"))
 
 
-@dataclass(frozen=True)
-class ChannelMigration:
-    """The outcome of one :meth:`ShardedLightorService.migrate_channel`.
+def _durable(store: StorageBackend) -> bool:
+    """Whether ``store`` is a SQLite file (it carries markers and placement)."""
+    return isinstance(store, SQLiteStore) and not is_memory_path(store.path)
 
-    ``seconds`` is the channel's unavailability window: the wall-clock time
-    both shard locks were held while the channel's rows and live session
-    moved.  ``moved`` is False when the channel already lived on the
-    destination and nothing happened.
+
+class LocalShard(NamedTuple):
+    """One in-process shard as a migration handle.
+
+    The steps are the worker's own methods; the fence is the shard lock,
+    held until the fence exits, so no routed call runs on the shard while
+    a step does.
     """
 
-    video_id: str
-    src: int
-    dst: int
-    was_live: bool
-    seconds: float
-    moved: bool = True
+    service: LightorWebService
+    lock: threading.RLock
 
+    list_channels = property(lambda self: self.service.list_channels)
+    migrate_out = property(lambda self: self.service.migrate_out)
+    migrate_in = property(lambda self: self.service.migrate_in)
+    forget_channel = property(lambda self: self.service.forget_channel)
 
-@dataclass(frozen=True)
-class ReshardReport:
-    """The outcome of one :meth:`ShardedLightorService.reshard`."""
-
-    old_n_shards: int
-    new_n_shards: int
-    epoch: int
-    migrations: list[ChannelMigration] = field(default_factory=list)
-
-    @property
-    def moved(self) -> int:
-        """Number of channels that actually changed shards."""
-        return sum(1 for m in self.migrations if m.moved)
-
-    def pause_seconds(self) -> list[float]:
-        """Per-channel unavailability windows, one per completed move."""
-        return [m.seconds for m in self.migrations if m.moved]
+    def fence(self) -> threading.RLock:
+        return self.lock
 
 
 class ShardedLightorService:
@@ -239,13 +231,28 @@ class ShardedLightorService:
         try:
             for shard_index in range(n_shards):
                 shards.append(build_shard(shard_index, n_shards))
+            service = cls(shards, replicas=replicas, placement=cls._stored_placement(shards))
         except BaseException:
             for built in shards:
                 built.store.close()
             raise
-        service = cls(shards, replicas=replicas)
         service._shard_builder = build_shard
         return service
+
+    @staticmethod
+    def _stored_placement(shards: Sequence[LightorWebService]) -> PlacementMap | None:
+        """The highest-epoch placement :meth:`publish` recorded in the shard
+        files, so a migrated channel routes to the shard holding its rows
+        (``None``, epoch 0, when no file has one)."""
+        rows = [shard.store.get_meta(PLACEMENT_META) for shard in shards if _durable(shard.store)]
+        states = [json.loads(row) for row in rows if row is not None]
+        if not states:
+            return None
+        latest = max(states, key=lambda state: state["epoch"])
+        return PlacementMap(
+            latest["n_shards"], replicas=latest["replicas"], epoch=latest["epoch"],
+            pins=latest["pins"],
+        )
 
     @staticmethod
     def _check_shard_marker(store: StorageBackend, shard_index: int, n_shards: int) -> None:
@@ -267,19 +274,6 @@ class ShardedLightorService:
             )
         store.set_meta("n_shards", str(n_shards))
         store.set_meta("shard_index", str(shard_index))
-
-    def _rewrite_shard_markers(self) -> None:
-        """Stamp every surviving durable shard with the current ring size.
-
-        The satellite of a completed reshard: without this, the next
-        ``create()`` over the same files would reject them as belonging to
-        the pre-reshard deployment (stale-marker-after-shrink).
-        """
-        for index, shard in enumerate(self.shards):
-            store = shard.store
-            if isinstance(store, SQLiteStore) and not is_memory_path(store.path):
-                store.set_meta("n_shards", str(len(self.shards)))
-                store.set_meta("shard_index", str(index))
 
     # ----------------------------------------------------------------- routing
     @property
@@ -343,196 +337,83 @@ class ShardedLightorService:
         :class:`~repro.platform.recovery.RecoveredSession` reports, ordered
         by video id.
         """
-        recovered = []
-        for shard, lock in zip(self.shards, self._locks):
-            with lock:
-                recovered.extend(shard.recover_live_sessions())
-        return sorted(recovered, key=lambda report: report.video_id)
+        recovered = self._on_every_shard(lambda shard: shard.recover_live_sessions())
+        return sorted(chain.from_iterable(recovered), key=lambda report: report.video_id)
 
     # --------------------------------------------------------------- migration
+    # The one choreography of repro.platform.placement, run over this tier's
+    # LocalShard handles and the fleet hooks below; callers keep calling
+    # through this front door the whole time.
+    migrate_channel = migrate
+    reshard = reshard
+
+    @property
+    def handles(self) -> list[LocalShard]:
+        """One migration handle per shard: the worker and its lock."""
+        return [LocalShard(shard, lock) for shard, lock in zip(self.shards, self._locks)]
+
+    def grow(self, n_shards: int) -> None:
+        """Stamp out workers up to ``n_shards`` with the builder ``create()``
+        retained; each new file's marker is checked against the new count."""
+        if self._shard_builder is None:
+            raise ValidationError(
+                "this sharded service was built from pre-made workers; "
+                "growing needs the shard builder create() retains"
+            )
+        for index in range(len(self.shards), n_shards):
+            self.shards.append(self._shard_builder(index, n_shards))
+            self._locks.append(threading.RLock())
+
+    def retire(self, n_shards: int) -> None:
+        """Shut down the drained workers from ``n_shards`` on, clearing their
+        files' markers and placement so a later grow can adopt them."""
+        drained = self.shards[n_shards:]
+        del self.shards[n_shards:]
+        del self._locks[n_shards:]
+        for shard in drained:
+            if _durable(shard.store):
+                for key in ("n_shards", "shard_index", PLACEMENT_META):
+                    shard.store.delete_meta(key)
+            shard.shutdown()
+
+    def publish(self) -> None:
+        """Stamp every durable shard file with the deployment size (the
+        marker ``create()`` checks) and, when no move is in flight, the
+        committed placement (the map ``create()`` routes by)."""
+        state = self.placement.describe()
+        committed = not state["in_flight"] and not state["frozen"]
+        for index, shard in enumerate(self.shards):
+            store = shard.store
+            if _durable(store):
+                store.set_meta("n_shards", str(len(self.shards)))
+                store.set_meta("shard_index", str(index))
+                if committed:
+                    store.set_meta(PLACEMENT_META, json.dumps(state, allow_nan=False))
+
+    # The gateway's admin verbs run each step on the channel's home shard.
     def list_channels(self) -> list[str]:
         """Every stored channel id across all shards, sorted."""
-        ids: set[str] = set()
-        for shard, lock in zip(self.shards, self._locks):
-            with lock:
-                ids.update(video.video_id for video in shard.store.list_videos())
-        return sorted(ids)
+        return sorted(set().union(*self._on_every_shard(lambda shard: shard.list_channels())))
 
     def migrate_out(self, video_id: str) -> dict:
-        """Detach and export one channel for a cross-process migration.
-
-        Step one of the cluster's three-step choreography (out → in →
-        forget): the live session (if any) is checkpointed and dropped, and
-        the channel's complete stored state is returned as a strict-JSON
-        bundle.  The rows stay on this worker until :meth:`forget_channel` —
-        a crash between the steps loses nothing.
-        """
+        """:meth:`LightorWebService.migrate_out` on the channel's home shard."""
         with self._routed(video_id) as shard:
-            was_live = shard.detach_channel(video_id)
-            return {"bundle": shard.store.export_channel(video_id), "was_live": was_live}
+            return shard.migrate_out(video_id)
 
-    def import_channel(self, bundle: dict, was_live: bool = False) -> str:
-        """Import a :meth:`migrate_out` bundle onto this deployment.
-
-        Step two of the choreography, run on the destination worker: the
-        rows are recreated through the ordinary write primitives and — when
-        the source reported the channel live — its session is resumed from
-        the bundled checkpoint via the recovery path.
-        """
-        video_id = bundle["video"]["video_id"]
-        with self._routed(video_id) as shard:
-            shard.store.import_channel(bundle)
-            if was_live:
-                shard.attach_channel(video_id)
-        return video_id
+    def migrate_in(self, bundle: dict, was_live: bool = False) -> str:
+        """:meth:`LightorWebService.migrate_in` on the channel's home shard."""
+        with self._routed(bundle["video"]["video_id"]) as shard:
+            return shard.migrate_in(bundle, was_live)
 
     def forget_channel(self, video_id: str) -> bool:
-        """Drop every stored row for a channel (migration source cleanup).
-
-        Step three of the choreography: only called after the destination
-        confirmed the import, so deleting here cannot lose data.  Returns
-        whether the channel existed.
-        """
+        """:meth:`LightorWebService.forget_channel` on the channel's home shard."""
         with self._routed(video_id) as shard:
-            existed = shard.store.delete_channel(video_id)
-            shard._drop_checkpoint_state(video_id)
-            return existed
-
-    def migrate_channel(self, video_id: str, dst_shard: int) -> ChannelMigration:
-        """Move one channel — rows and live session — to another shard.
-
-        The in-process data plane: suspend-checkpoint on the source (no
-        finalize, so stored dots survive), bundle export, import + snapshot
-        resume on the destination (exactly the ``repro recover`` path), then
-        source cleanup and a placement epoch bump.  Both shard locks are held
-        for the duration, ordered by index to stay deadlock-free against
-        concurrent migrations; traffic for *other* channels on either shard
-        waits only for this channel's move (the measured ``seconds`` window),
-        and traffic for this channel re-routes via :meth:`_routed`'s
-        re-check when the locks release.
-        """
-        if not 0 <= dst_shard < len(self.shards):
-            raise ValidationError(
-                f"dst_shard must name one of {len(self.shards)} shards, got {dst_shard!r}"
-            )
-        while True:
-            src = self.placement.shard_for(video_id)
-            if src == dst_shard:
-                return ChannelMigration(
-                    video_id=video_id, src=src, dst=dst_shard,
-                    was_live=False, seconds=0.0, moved=False,
-                )
-            first, second = sorted((src, dst_shard))
-            with self._locks[first], self._locks[second]:
-                if self.placement.shard_for(video_id) != src:
-                    continue  # moved underneath us; re-route and retry
-                started = time.perf_counter()
-                self.placement.begin_migration(video_id)
-                source, destination = self.shards[src], self.shards[dst_shard]
-                try:
-                    if not source.store.has_video(video_id):
-                        raise ValidationError(
-                            f"channel {video_id!r} has no stored rows on shard {src}; "
-                            "register or start it before migrating"
-                        )
-                    was_live = source.detach_channel(video_id)
-                    destination.store.import_channel(source.store.export_channel(video_id))
-                    if was_live:
-                        destination.attach_channel(video_id)
-                    source.store.delete_channel(video_id)
-                    source._drop_checkpoint_state(video_id)
-                except BaseException:
-                    self.placement.abort_migration(video_id)
-                    raise
-                self.placement.complete_migration(video_id, dst_shard)
-                return ChannelMigration(
-                    video_id=video_id, src=src, dst=dst_shard,
-                    was_live=was_live, seconds=time.perf_counter() - started,
-                )
-
-    def reshard(self, new_n_shards: int) -> ReshardReport:
-        """Online reshard: move to a ``new_n_shards``-worker deployment.
-
-        A planned sequence of :meth:`migrate_channel` calls: on a grow, the
-        new workers are stamped out first (via the builder ``create()``
-        retained, with the marker check run against the *new* count); the
-        placement map plans the minimal move set; each moved channel drains
-        through the ordinary migration path while unmoved channels keep
-        serving; then the ring is swapped (:meth:`PlacementMap.commit_reshard`),
-        drained workers are shut down on a shrink, and surviving durable
-        shards get their markers rewritten.  Callers keep calling through
-        this front door the whole time.
-        """
-        require_positive(new_n_shards, "new_n_shards")
-        old_n_shards = len(self.shards)
-        if new_n_shards == old_n_shards:
-            return ReshardReport(
-                old_n_shards=old_n_shards,
-                new_n_shards=new_n_shards,
-                epoch=self.placement.epoch,
-            )
-        if new_n_shards > old_n_shards:
-            if self._shard_builder is None:
-                raise ValidationError(
-                    "this sharded service was built from pre-made workers; "
-                    "growing needs the shard builder create() retains"
-                )
-            for index in range(old_n_shards, new_n_shards):
-                self.shards.append(self._shard_builder(index, new_n_shards))
-                self._locks.append(threading.RLock())
-        # Bulk phase: drain the planned channel set with no global barrier —
-        # unmoved channels keep serving, only the channel in flight pauses.
-        plan = self.placement.plan_reshard(self.list_channels(), new_n_shards)
-        migrations = [self.migrate_channel(move.video_id, move.dst) for move in plan]
-        # Commit barrier: a channel created *during* the bulk phase was
-        # placed by the old ring and would be stranded by the ring swap
-        # (its traffic re-routes, its rows do not).  Holding every shard
-        # lock excludes all channel creation — start_live runs under
-        # _routed — so a census taken here is complete; sweep the
-        # stragglers (the locks are re-entrant) and swap the ring before
-        # anything else can run.  The barrier lasts one sweep, not the
-        # bulk migrations.
-        locks = list(self._locks)
-        for lock in locks:
-            lock.acquire()
-        try:
-            follow_up = self.placement.plan_reshard(self.list_channels(), new_n_shards)
-            migrations.extend(
-                self.migrate_channel(move.video_id, move.dst) for move in follow_up
-            )
-            epoch = self.placement.commit_reshard(new_n_shards)
-        finally:
-            for lock in reversed(locks):
-                lock.release()
-        if new_n_shards < old_n_shards:
-            drained = self.shards[new_n_shards:]
-            del self.shards[new_n_shards:]
-            del self._locks[new_n_shards:]
-            for shard in drained:
-                store = shard.store
-                if isinstance(store, SQLiteStore) and not is_memory_path(store.path):
-                    # The drained file belongs to no deployment any more;
-                    # clearing its marker lets a later grow adopt the (now
-                    # channel-empty) file instead of refusing it as stale.
-                    store.delete_meta("n_shards")
-                    store.delete_meta("shard_index")
-                shard.shutdown()
-        self._rewrite_shard_markers()
-        return ReshardReport(
-            old_n_shards=old_n_shards,
-            new_n_shards=new_n_shards,
-            epoch=epoch,
-            migrations=migrations,
-        )
+            return shard.forget_channel(video_id)
 
     # ----------------------------------------------------------------- summary
     def db_paths(self) -> list[str]:
         """Database files behind the shards (empty for non-durable backends)."""
-        return [
-            shard.store.path
-            for shard in self.shards
-            if isinstance(shard.store, SQLiteStore) and not is_memory_path(shard.store.path)
-        ]
+        return [shard.store.path for shard in self.shards if _durable(shard.store)]
 
     def stats(self) -> dict[str, int]:
         """Store row counts summed across shards (plus shard count and epoch)."""
@@ -540,10 +421,9 @@ class ShardedLightorService:
             "shards": self.n_shards,
             "placement_epoch": self.placement.epoch,
         }
-        for shard, lock in zip(self.shards, self._locks):
-            with lock:
-                for key, value in shard.store.stats().items():
-                    totals[key] = totals.get(key, 0) + value
+        for counts in self._on_every_shard(lambda shard: shard.store.stats()):
+            for key, value in counts.items():
+                totals[key] = totals.get(key, 0) + value
         return totals
 
     def suspend(self) -> int:
@@ -555,45 +435,36 @@ class ShardedLightorService:
         a durable deployment can be resumed byte-exactly with
         :meth:`recover_live_sessions` (``repro recover``).  Returns the total
         number of sessions checkpointed.  Like :meth:`close`, every shard is
-        suspended even when one raises; the first error is re-raised at the
-        end.
+        suspended even when one raises.
         """
-        first_error: BaseException | None = None
-        checkpointed = 0
-        for shard, lock in zip(self.shards, self._locks):
-            with lock:
-                try:
-                    checkpointed += shard.suspend()
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = error
-        if first_error is not None:
-            raise first_error
-        return checkpointed
+        return sum(self._on_every_shard(lambda shard: shard.suspend()))
 
     def close(self) -> None:
         """Shut down every shard: open live sessions are finalized (their
         results persist through the eviction callbacks) before the backends
-        are released.
+        are released."""
+        self._on_every_shard(lambda shard: shard.shutdown())
 
-        A shard whose ``shutdown()`` raises must not abort the loop: the
-        remaining shards still own live sessions and open backends, and
-        skipping them would leak every one of their stores and silently drop
-        their session finalization.  Every shard is therefore closed
-        best-effort and the first error is re-raised once all of them have
-        been given the chance.
+    def _on_every_shard(self, step: Callable[[LightorWebService], object]) -> list:
+        """``step(shard)`` on every shard under its lock; the results.
+
+        A shard whose step raises must not abort the loop: the remaining
+        shards still own live sessions and open backends, and skipping them
+        would leak their stores and silently drop their sessions.  The
+        first error is re-raised once every shard has had its turn.
         """
         first_error: BaseException | None = None
+        results = []
         for shard, lock in zip(self.shards, self._locks):
             with lock:
                 try:
-                    shard.shutdown()
+                    results.append(step(shard))
                 except BaseException as error:  # noqa: BLE001 - re-raised below
                     if first_error is None:
                         first_error = error
         if first_error is not None:
             raise first_error
-
+        return results
 
 surface.bind(
     ShardedLightorService,

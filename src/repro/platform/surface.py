@@ -273,8 +273,7 @@ VERBS: tuple[Verb, ...] = (
     Verb("migrate_in", "POST", "/admin/migrate-in", "admin_migrate_in",
          (Arg("bundle", OBJECT), Arg("was_live", FLAG, default=False)),
          Result("imported", _plain("string")),
-         "Import an exported channel bundle; resume its session when live.",
-         calls="service.import_channel"),
+         "Import an exported channel bundle; resume its session when live."),
     Verb("forget_channel", "POST", "/admin/forget-channel", "admin_forget_channel",
          (Arg("video_id", NAME),), Result("forgotten", _plain("bool")),
          "Drop a migrated-out channel's residual state."),

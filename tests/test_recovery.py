@@ -601,7 +601,7 @@ class TestReplayOrder:
             moved = source.migrate_out(video_id)
             stamps = moved["bundle"]["interaction_stamps"]
             assert len(stamps) > 1 and all(stamp is not None for stamp, _ in stamps)
-            target.import_channel(moved["bundle"], was_live=moved["was_live"])
+            target.migrate_in(moved["bundle"], was_live=moved["was_live"])
             source.forget_channel(video_id)
             assert target.store_for(video_id).get_interaction_stamps_since(
                 video_id, 0
@@ -664,12 +664,9 @@ class TestFaultSchedule:
                 transport="cluster",
             )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="placement is not persisted (ROADMAP item 4): the fresh tier "
-        "routes a migrated channel to its ring owner, which forgot its rows",
-    )
     def test_standalone_migration_then_kill(self, fitted_initializer, tmp_path):
+        """The fresh tier routes by the placement the shard files recorded,
+        so the moved channel recovers and keeps serving on its new shard."""
         moving = LoadWorkload.from_spec(SMOKE).batches()[0].video_id
 
         def migrate_channel(tier):

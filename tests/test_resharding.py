@@ -19,8 +19,10 @@ Three properties matter:
 from __future__ import annotations
 
 import inspect
+import threading
 from contextlib import contextmanager
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,8 +32,8 @@ from repro.loadgen import LoadWorkload, WorkloadSpec, reshard_to, run_load
 from repro.platform import codecs, surface
 from repro.platform.backends import SQLiteStore
 from repro.platform.client import LightorClient
-from repro.platform.cluster import ClusterFrontDoor
-from repro.platform.placement import PlacementMap, WrongShardError
+from repro.platform.cluster import ClusterFrontDoor, RemoteShard
+from repro.platform.placement import PlacementMap, WrongShardError, migrate
 from repro.platform.server import GatewayThread
 from repro.platform.sharding import ShardedLightorService, shard_db_path
 from repro.utils.validation import ValidationError
@@ -46,34 +48,78 @@ def _sharded(fitted_initializer, n_shards=2, **kwargs):
     )
 
 
-def _other_shard(service, video_id):
-    """Any shard index that is not the channel's current home."""
-    home = service.placement.shard_for(video_id)
-    return (home + 1) % service.n_shards
-
-
 @pytest.fixture(scope="module")
 def channel_log(dota2_dataset):
     target = dota2_dataset[1]
     return VideoChatLog(video=target.video, messages=target.chat_log.messages[:300])
 
 
+class _GatewayFleet:
+    """Worker gateways over 1-shard tiers, moved by the same ``migrate`` the
+    cluster supervisor runs (a :class:`RemoteShard` handle per gateway);
+    ``front`` is a cluster front door sharing the fleet's placement map."""
+
+    def __init__(self, fitted_initializer, n_shards=2):
+        self.tiers = [_sharded(fitted_initializer, 1) for _ in range(n_shards)]
+        self.gateways = [GatewayThread(t, shard_index=i) for i, t in enumerate(self.tiers)]
+        self.addresses = [gateway.start() for gateway in self.gateways]
+        self.placement = PlacementMap(n_shards)
+        self.handles = [RemoteShard(LightorClient(*address)) for address in self.addresses]
+        self.publish()
+        self.front = ClusterFrontDoor(self.addresses, placement=self.placement)
+
+    def publish(self):
+        for handle in self.handles:
+            handle.client.put_placement(
+                codecs.placement_map_to_dict(self.placement), self.addresses
+            )
+
+    def migrate_channel(self, video_id, dst_shard):
+        return migrate(self, video_id, dst_shard)
+
+    def store(self, index):
+        return self.tiers[index].shards[0].store
+
+    def close(self):
+        self.front.close()
+        for handle in self.handles:
+            handle.client.close()
+        for gateway in self.gateways:
+            gateway.stop()
+        for tier in self.tiers:
+            tier.close()
+
+
 class TestChannelMigration:
-    def test_live_channel_migrates_byte_exactly(self, fitted_initializer, channel_log):
+    """Migration on the in-process tier; the subclass below runs the same
+    tests, through the same choreography, on worker gateways."""
+
+    @pytest.fixture()
+    def fleet(self, fitted_initializer):
+        tier = _sharded(fitted_initializer)
+        yield SimpleNamespace(
+            migrate_channel=tier.migrate_channel,
+            placement=tier.placement,
+            front=tier,
+            store=lambda index: tier.shards[index].store,
+        )
+        tier.close()
+
+    def test_live_channel_migrates_byte_exactly(self, fleet, fitted_initializer, channel_log):
         """Mid-stream migration is invisible in the persisted end state."""
         video_id = channel_log.video.video_id
         control = _sharded(fitted_initializer)
-        subject = _sharded(fitted_initializer)
+        subject = fleet.front
         for service in (control, subject):
             service.start_live(channel_log.video)
             service.ingest_chat_batch(video_id, channel_log.messages[:150])
-        dst = _other_shard(subject, video_id)
-        epoch_before = subject.placement.epoch
-        migration = subject.migrate_channel(video_id, dst)
+        dst = (fleet.placement.shard_for(video_id) + 1) % 2
+        epoch_before = fleet.placement.epoch
+        migration = fleet.migrate_channel(video_id, dst)
         assert migration.moved and migration.was_live
         assert migration.seconds > 0.0
-        assert subject.placement.shard_for(video_id) == dst
-        assert subject.placement.epoch > epoch_before
+        assert fleet.placement.shard_for(video_id) == dst
+        assert fleet.placement.epoch > epoch_before
         for service in (control, subject):
             service.ingest_chat_batch(video_id, channel_log.messages[150:])
         control_dots = control.end_live(video_id, channel_log.video.duration)
@@ -88,30 +134,75 @@ class TestChannelMigration:
             codecs.highlight_record_to_dict(r)
             for r in control.highlight_history(video_id)
         ]
+        control.close()
         # The rows live only on the destination shard.
         src = (dst + 1) % 2
-        assert subject.shards[dst].store.has_video(video_id)
-        assert not subject.shards[src].store.has_video(video_id)
+        assert fleet.store(dst).has_video(video_id)
+        assert not fleet.store(src).has_video(video_id)
 
-    def test_migrating_home_is_a_noop(self, fitted_initializer, channel_log):
-        service = _sharded(fitted_initializer)
-        service.register_video(channel_log.video)
-        home = service.placement.shard_for(channel_log.video.video_id)
-        migration = service.migrate_channel(channel_log.video.video_id, home)
+    def test_migrating_home_is_a_noop(self, fleet, channel_log):
+        fleet.front.register_video(channel_log.video)
+        home = fleet.placement.shard_for(channel_log.video.video_id)
+        epoch = fleet.placement.epoch
+        migration = fleet.migrate_channel(channel_log.video.video_id, home)
         assert not migration.moved
         assert migration.seconds == 0.0
+        assert fleet.placement.epoch == epoch
 
-    def test_bad_destinations_and_unknown_channels_rejected(
-        self, fitted_initializer, channel_log
-    ):
-        service = _sharded(fitted_initializer)
+    def test_bad_destinations_and_unknown_channels_rejected(self, fleet):
         with pytest.raises(ValidationError, match="dst_shard"):
-            service.migrate_channel("anything", 7)
+            fleet.migrate_channel("anything", 7)
         ghost = "never-registered"
         with pytest.raises(ValidationError, match="no stored rows"):
-            service.migrate_channel(ghost, _other_shard(service, ghost))
+            fleet.migrate_channel(ghost, (fleet.placement.shard_for(ghost) + 1) % 2)
         # A failed migration leaves the placement unchanged (abort path).
-        assert not service.placement.is_in_flight(ghost)
+        assert not fleet.placement.is_in_flight(ghost)
+
+
+class TestChannelMigrationOverGateways(TestChannelMigration):
+    @pytest.fixture()
+    def fleet(self, fitted_initializer):
+        fleet = _GatewayFleet(fitted_initializer)
+        yield fleet
+        fleet.close()
+
+    def test_request_admitted_before_the_move_finishes_before_the_export(
+        self, fleet, channel_log
+    ):
+        """A request that passed the source worker's placement check before
+        the in-flight push must not land after the move: the fence waits it
+        out, so the row it wrote moves with the channel instead of staying
+        behind as a stray on the source."""
+        video = channel_log.video
+        fleet.front.register_video(video)
+        src = fleet.placement.shard_for(video.video_id)
+        entered, release = threading.Event(), threading.Event()
+        register = fleet.tiers[src].register_video
+
+        def held_register(held):
+            entered.set()
+            release.wait(timeout=30)
+            return register(held)
+
+        fleet.tiers[src].register_video = held_register
+        moves = []
+        with LightorClient(*fleet.addresses[src]) as client:
+            request = threading.Thread(target=client.register_video, args=(video,))
+            request.start()
+            assert entered.wait(timeout=30)
+            move = threading.Thread(
+                target=lambda: moves.append(fleet.migrate_channel(video.video_id, 1 - src))
+            )
+            move.start()
+            # Unfenced, the move completes around the held request here.
+            move.join(timeout=1.0)
+            release.set()
+            request.join(timeout=30)
+            move.join(timeout=30)
+        assert not request.is_alive() and not move.is_alive()
+        assert [migration.moved for migration in moves] == [True]
+        assert fleet.store(1 - src).has_video(video.video_id)
+        assert fleet.tiers[src].list_channels() == []
 
 
 class TestOnlineReshardInproc:
