@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.initializer.windows import SlidingWindow
-from repro.ml.kmeans import average_similarity_to_center
+from repro.ml.kmeans import similarity_kernel
 from repro.ml.scaler import MinMaxScaler
 from repro.ml.text import tokenize
 from repro.utils.validation import ValidationError
@@ -55,14 +55,15 @@ class WindowFeatures:
 
 @dataclass
 class RunningWindowFeatures:
-    """Per-message accumulator of one window's raw general features.
+    """One window's state for its raw general features.
 
-    The streaming engine feeds each arriving :class:`ChatMessage` into the
-    accumulators of the windows containing it; :meth:`raw` then produces the
-    exact :class:`WindowFeatures` the batch extractor would compute for the
-    same member messages.  The batch path
-    (:meth:`WindowFeatureExtractor.raw_features`) is itself implemented as a
-    replay through this class, so the two can never disagree.
+    The streaming engine builds one from a sealed window's member messages
+    (:meth:`from_tokens`, with each message tokenized once across the
+    overlapping windows holding it); :meth:`raw` then produces the exact
+    :class:`WindowFeatures` the batch extractor would compute for the same
+    member messages.  The batch path
+    (:meth:`WindowFeatureExtractor.raw_features`) builds it the same way, so
+    the two can never disagree.
 
     State kept per window: the message count, the per-message token counts
     (for the length feature) and the token lists of non-blank messages (for
@@ -75,22 +76,21 @@ class RunningWindowFeatures:
     _token_counts: list[int] = field(default_factory=list, repr=False)
     _token_lists: list[list[str]] = field(default_factory=list, repr=False)
 
-    def add(self, text: str, tokens: list[str] | None = None) -> None:
-        """Fold one message into the window state.
+    @classmethod
+    def from_tokens(cls, token_lists: list[list[str]]) -> "RunningWindowFeatures":
+        """The state of a window whose messages tokenize to ``token_lists``.
 
-        ``tokens`` lets the caller tokenize a message once and share the
-        result across every window containing it (a message belongs to
-        ``ceil(window_size / stride)`` overlapping windows).
+        A text has no tokens exactly when it is blank (``\\s`` and
+        ``str.isspace`` agree on every code point), so no text is needed.
         """
-        if tokens is None:
-            tokens = tokenize(text)
-        self.message_count += 1
-        self._token_counts.append(len(tokens))
-        if text.strip():
-            self._token_lists.append(tokens)
+        return cls(
+            len(token_lists),
+            [len(tokens) for tokens in token_lists],
+            [tokens for tokens in token_lists if tokens],
+        )
 
     def raw(self) -> WindowFeatures:
-        """The raw feature triple for the messages folded in so far."""
+        """The window's raw feature triple."""
         return WindowFeatures(
             message_number=float(self.message_count),
             message_length=self._average_length(),
@@ -116,7 +116,8 @@ class RunningWindowFeatures:
         rows = np.repeat(np.arange(len(token_lists)), [len(tokens) for tokens in token_lists])
         vectors = np.zeros((len(token_lists), len(vocabulary)))
         vectors[rows, columns] = 1.0
-        return average_similarity_to_center(vectors, exclude_self=True)
+        # Fresh, C-contiguous, float, two rows or more: no checks needed.
+        return similarity_kernel(vectors)
 
 
 class WindowFeatureExtractor:
@@ -145,10 +146,8 @@ class WindowFeatureExtractor:
         and live engines compute bit-identical features for identical window
         membership.
         """
-        running = RunningWindowFeatures()
-        for message in window.messages:
-            running.add(message.text)
-        return running.raw()
+        token_lists = [tokenize(message.text) for message in window.messages]
+        return RunningWindowFeatures.from_tokens(token_lists).raw()
 
     # --------------------------------------------------------- feature matrix
     def normalise(self, raw: np.ndarray) -> np.ndarray:

@@ -18,10 +18,9 @@ identical windows by construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.core.types import ChatMessage, VideoChatLog
 from repro.utils.validation import ValidationError, require_positive
@@ -60,11 +59,6 @@ class SlidingWindow:
         """Number of chat messages falling in the window."""
         return len(self.messages)
 
-    @property
-    def texts(self) -> list[str]:
-        """Raw texts of the window's messages."""
-        return [message.text for message in self.messages]
-
     def overlaps(self, other: "SlidingWindow") -> bool:
         """Whether two half-open windows intersect."""
         return self.start < other.end and other.start < self.end
@@ -83,32 +77,26 @@ class SlidingWindow:
         if not self.messages:
             return self.start
         require_positive(bin_size, "bin_size")
+        start = self.start
         n_bins = max(1, int(round(self.duration / bin_size)))
-        timestamps = np.fromiter(
-            (message.timestamp for message in self.messages),
-            dtype=float,
-            count=len(self.messages),
-        )
-        indices = np.minimum(n_bins - 1, ((timestamps - self.start) // bin_size).astype(np.int64))
-        if int(indices.min()) < 0:
-            # A message before the window start (possible only on hand-built
-            # windows — the builders never produce one) would wrap to a
-            # negative Python list index in the reference formulation; fall
-            # back to it rather than replicate that quirk vectorised.
-            counts = [0] * n_bins
-            for index in indices:
-                counts[int(index)] += 1
-            best_bin = max(range(n_bins), key=lambda i: counts[i])
-        else:
-            # Binning counts are exact integers, and np.argmax picks the
-            # first maximum exactly like max(range, key=...), so this is
-            # bit-identical to the per-message loop it replaces.
-            best_bin = int(np.argmax(np.bincount(indices, minlength=n_bins)))
-        coarse_peak = self.start + (best_bin + 0.5) * bin_size
-        nearby = timestamps[np.abs(timestamps - coarse_peak) <= refine_radius]
-        if nearby.size == 0:
-            return coarse_peak
-        return float(sum(nearby) / len(nearby))
+        last_bin = n_bins - 1
+        timestamps = [float(message.timestamp) for message in self.messages]
+        counts = [0] * n_bins
+        for timestamp in timestamps:
+            # A message before the start (only on hand-built windows) lands
+            # on a negative index, which counts from the end.
+            counts[min(last_bin, int((timestamp - start) // bin_size))] += 1
+        # list.index finds the first maximum: ties go to the earliest bin.
+        coarse_peak = start + (counts.index(max(counts)) + 0.5) * bin_size
+        # A left-to-right sum: builtin sum() compensates float rounding on
+        # Python 3.12+, which would change the refined peak's last bits.
+        total = 0.0
+        nearby = 0
+        for timestamp in timestamps:
+            if abs(timestamp - coarse_peak) <= refine_radius:
+                total += timestamp
+                nearby += 1
+        return total / nearby if nearby else coarse_peak
 
     def contains(self, timestamp: float) -> bool:
         """Whether ``timestamp`` falls inside ``[start, end)``."""
@@ -189,10 +177,10 @@ class StreamingWindowBuilder:
 
         Semantically identical to calling :meth:`add` once per message — the
         same windows receive the same messages in the same order and the same
-        windows seal — but window membership is computed in one NumPy pass:
-        because the batch is sorted, the members of window ``[s, s + l)`` are
-        a contiguous slice of the batch found with two ``searchsorted`` calls
-        (the comparisons are the exact ``s <= t < s + l`` membership
+        windows seal — but window membership is computed per window, not per
+        message: because the batch is sorted, the members of window ``[s, s +
+        l)`` are a contiguous slice of the batch found with two ``bisect``
+        calls (the comparisons are the exact ``s <= t < s + l`` membership
         predicate, so no float-rounding drift against the per-message path is
         possible).  Cost is O(windows touched · log batch) plus the slice
         appends, instead of O(batch · windows-per-message) Python iterations.
@@ -205,11 +193,9 @@ class StreamingWindowBuilder:
             return []
         if len(messages) == 1:
             return self.add(messages[0])
-        timestamps = np.fromiter(
-            (message.timestamp for message in messages), dtype=float, count=len(messages)
-        )
-        first, last = float(timestamps[0]), float(timestamps[-1])
-        if first < self._last_timestamp or np.any(np.diff(timestamps) < 0.0):
+        timestamps = [message.timestamp for message in messages]
+        first, last = timestamps[0], float(timestamps[-1])
+        if first < self._last_timestamp or sorted(timestamps) != timestamps:
             out_of_order = first if first < self._last_timestamp else "within the batch"
             raise ValidationError(
                 f"messages must arrive in timestamp order; got {out_of_order} "
@@ -218,14 +204,14 @@ class StreamingWindowBuilder:
 
         # Candidate indices: every window whose [start, start + l) span can
         # intersect [first, last].  The same over-approximation as add()'s
-        # per-message range; the searchsorted slice is the exact predicate.
+        # per-message range; the bisected slice is the exact predicate.
         lowest = max(0, self._next_seal, self._index_at_or_before(first - self.window_size) - 1)
         highest = self._index_at_or_before(last) + 1
         index = lowest
         while index <= highest:
             start = index * self.stride
-            lo = int(np.searchsorted(timestamps, start, side="left"))
-            hi = int(np.searchsorted(timestamps, start + self.window_size, side="left"))
+            lo = bisect_left(timestamps, start)
+            hi = bisect_left(timestamps, start + self.window_size, lo)
             if lo >= hi:
                 if lo == len(messages):
                     break
@@ -363,8 +349,6 @@ def resolve_overlapping_windows(candidates: list, accepted: Sequence = ()) -> li
     with its immediate neighbours in start order — the check is two bisected
     comparisons instead of a scan over everything accepted.
     """
-    from bisect import bisect_left
-
     ranked = sorted(candidates, key=lambda w: (-w.message_count, w.start))
     accepted = list(accepted)
     accepted_starts = [window.start for window in accepted]

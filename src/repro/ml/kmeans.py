@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.utils.validation import ValidationError, require_positive
 
-__all__ = ["one_cluster_center", "average_similarity_to_center", "kmeans"]
+__all__ = ["one_cluster_center", "average_similarity_to_center", "similarity_kernel", "kmeans"]
 
 
 def one_cluster_center(vectors: np.ndarray) -> np.ndarray:
@@ -55,9 +55,17 @@ def average_similarity_to_center(vectors: np.ndarray, exclude_self: bool = True)
     data = np.ascontiguousarray(vectors, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValidationError("vectors must be a non-empty 2-D array")
-    n_messages = data.shape[0]
-    if n_messages == 1:
+    if data.shape[0] == 1:
         return 0.0 if exclude_self else 1.0
+    return similarity_kernel(data, exclude_self)
+
+
+def similarity_kernel(data: np.ndarray, exclude_self: bool = True) -> float:
+    """:func:`average_similarity_to_center` without its conversion and checks.
+
+    ``data`` must be a C-contiguous float array with two rows or more.
+    """
+    n_messages = data.shape[0]
     if exclude_self:
         centers = (data.sum(axis=0) - data) / (n_messages - 1)
     else:

@@ -20,13 +20,9 @@ __all__ = ["LogisticRegression"]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically stable logistic sigmoid: ``exp(-|z|)`` never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -99,17 +95,22 @@ class LogisticRegression:
         self.loss_history_ = []
 
         sample_weights = self._sample_weights(y)
+        negatives = 1 - y
         previous_loss = np.inf
         for _ in range(int(self.n_iterations)):
             logits = x @ self.weights_ + self.bias_
             probabilities = _sigmoid(logits)
             error = (probabilities - y) * sample_weights
             grad_w = x.T @ error / n_samples + self.l2 * self.weights_
-            grad_b = float(np.sum(error) / n_samples)
+            grad_b = float(np.add.reduce(error) / n_samples)
             self.weights_ -= self.learning_rate * grad_w
             self.bias_ -= self.learning_rate * grad_b
 
-            loss = self._loss(probabilities, y, sample_weights)
+            # The weighted negative log-likelihood plus the L2 penalty.
+            clipped = np.minimum(np.maximum(probabilities, 1e-12), 1.0 - 1e-12)
+            terms = sample_weights * (y * np.log(clipped) + negatives * np.log(1 - clipped))
+            penalty = 0.5 * self.l2 * float(np.dot(self.weights_, self.weights_))
+            loss = float(-(np.add.reduce(terms) / n_samples) + penalty)
             self.loss_history_.append(loss)
             if abs(previous_loss - loss) < self.tol:
                 break
@@ -130,13 +131,6 @@ class LogisticRegression:
         weight_positive = n / (2.0 * n_positive)
         weight_negative = n / (2.0 * n_negative)
         return np.where(y > 0.5, weight_positive, weight_negative)
-
-    def _loss(self, probabilities: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
-        eps = 1e-12
-        clipped = np.clip(probabilities, eps, 1.0 - eps)
-        nll = -np.mean(weights * (y * np.log(clipped) + (1 - y) * np.log(1 - clipped)))
-        penalty = 0.5 * self.l2 * float(np.dot(self.weights_, self.weights_))
-        return float(nll + penalty)
 
     # -------------------------------------------------------------- predict
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

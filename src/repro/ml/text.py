@@ -33,6 +33,7 @@ __all__ = [
 # punctuation-only tokens are preserved as-is because they carry most of the
 # reaction signal in game chat.
 _TOKEN_PATTERN = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]+")
+_SYMBOL = re.compile(r"[^\sA-Za-z0-9_]")
 
 
 def tokenize(message: str) -> list[str]:
@@ -45,6 +46,14 @@ def tokenize(message: str) -> list[str]:
     """
     if not isinstance(message, str):
         raise ValidationError(f"message must be a string, got {type(message).__name__}")
+    if message.isascii():
+        # Lowering ASCII moves no token boundary (outside ASCII it can: the
+        # Kelvin sign lowers to "k"), and with no symbol the tokens are the
+        # whitespace-separated words (str.split and \s agree on whitespace).
+        message = message.lower()
+        if _SYMBOL.search(message) is None:
+            return message.split()
+        return _TOKEN_PATTERN.findall(message)
     return [token.lower() for token in _TOKEN_PATTERN.findall(message)]
 
 

@@ -275,11 +275,14 @@ class SQLiteStore(StorageBackend):
     # versions wrote) and ``chat_batches`` (one blob row per ingest batch,
     # covering seqs [first_seq, first_seq + n)).  Writers only add batches;
     # readers merge both so any mix of generations reads back in order.
+    # Batches tile the seq space, so the one with the highest first_seq ends
+    # it; finding that batch is one step down the (video_id, first_seq) key,
+    # where MAX(first_seq + n) would read every batch of the channel.
     _NEXT_SEQ_SQL = (
         "SELECT MAX("
         " (SELECT COALESCE(MAX(seq), -1) FROM chat_messages WHERE video_id = ?),"
-        " (SELECT COALESCE(MAX(first_seq + n), 0) - 1 FROM chat_batches"
-        "  WHERE video_id = ?)"
+        " COALESCE((SELECT first_seq + n FROM chat_batches WHERE video_id = ?"
+        "  ORDER BY first_seq DESC LIMIT 1), 0) - 1"
         ") + 1"
     )
 

@@ -94,9 +94,9 @@ class IncrementalWindowState:
     max_summaries: int | None = None
     _builder: StreamingWindowBuilder = field(init=False, repr=False)
     _summaries: list[WindowSummary] = field(default_factory=list, repr=False)
-    # With overlapping windows (stride < window_size) a message is sealed
-    # into several windows; its tokens are computed once at the first seal
-    # and shared until the seal frontier moves past it.  Keyed by object id
+    # A message is sealed into every window holding it (several when stride
+    # < window_size); its tokens are computed once at the first seal and
+    # shared until the seal frontier moves past it.  Keyed by object id
     # with the message held alongside, so an id can never be recycled while
     # its entry is alive.
     _token_cache: dict[int, tuple[ChatMessage, list[str]]] = field(
@@ -132,12 +132,7 @@ class IncrementalWindowState:
     # ------------------------------------------------------------------ feed
     def add(self, message: ChatMessage) -> list[WindowSummary]:
         """Fold one message in; return summaries of any windows it sealed."""
-        self.last_timestamp = max(self.last_timestamp, message.timestamp)
-        sealed = [self._summarise(window) for window in self._builder.add(message)]
-        if sealed:
-            self._append(sealed)
-            self._prune_token_cache()
-        return sealed
+        return self.add_batch([message])
 
     def add_batch(self, messages: Sequence[ChatMessage]) -> list[WindowSummary]:
         """Fold a timestamp-ordered batch in; return the summaries it sealed.
@@ -146,8 +141,9 @@ class IncrementalWindowState:
         membership, identical seal order, bit-identical summaries — but the
         membership fold runs through
         :meth:`~repro.core.initializer.windows.StreamingWindowBuilder.add_batch`
-        (one NumPy pass over the batch timestamps) and cap enforcement plus
-        token-cache pruning run once per batch instead of once per message.
+        (bisected per window, not looped per message) and cap enforcement
+        plus token-cache pruning run once per batch instead of once per
+        message.
         """
         if not messages:
             return []
@@ -296,32 +292,22 @@ class IncrementalWindowState:
 
     # -------------------------------------------------------------- internals
     def _summarise(self, window: SlidingWindow) -> WindowSummary:
-        running = RunningWindowFeatures()
+        cache = self._token_cache
+        token_lists = []
         for message in window.messages:
-            running.add(message.text, tokens=self._tokens_for(message))
+            entry = cache.get(id(message))
+            if entry is None or entry[0] is not message:
+                entry = cache[id(message)] = (message, tokenize(message.text))
+            token_lists.append(entry[1])
         return WindowSummary(
             start=window.start,
             end=window.end,
             message_count=window.message_count,
             peak=window.peak_timestamp(),
-            raw=running.raw(),
+            raw=RunningWindowFeatures.from_tokens(token_lists).raw(),
         )
 
-    def _tokens_for(self, message: ChatMessage) -> list[str]:
-        if self.stride >= self.window_size:
-            # Disjoint windows: each message is summarised exactly once, so
-            # a cache would be pure overhead.
-            return tokenize(message.text)
-        entry = self._token_cache.get(id(message))
-        if entry is not None and entry[0] is message:
-            return entry[1]
-        tokens = tokenize(message.text)
-        self._token_cache[id(message)] = (message, tokens)
-        return tokens
-
     def _prune_token_cache(self) -> None:
-        if not self._token_cache:
-            return
         frontier = self._builder.frontier_start
         self._token_cache = {
             key: entry

@@ -387,6 +387,35 @@ class TestSQLiteSpecifics:
         assert [m.text for m in b.get_chat("v1")] == ["x", "y", "z"]
         a.close(), b.close()
 
+    def test_append_chat_cost_does_not_grow_with_history(self):
+        # SQLite VM steps are a count, not a timing: an append after 1,000
+        # batches may cost only a constant more than one after 10.
+        store = SQLiteStore()
+        store.put_video(_video())
+        steps = [0]
+
+        def count_step():
+            steps[0] += 1
+            return 0
+
+        def steps_of_append(seq):
+            steps[0] = 0
+            store._connection.set_progress_handler(count_step, 1)
+            try:
+                assert store.append_chat("v1", [ChatMessage(float(seq), "u", "gg")]) == seq + 1
+            finally:
+                store._connection.set_progress_handler(None, 1)
+            return steps[0]
+
+        for seq in range(10):
+            steps_of_append(seq)
+        after_ten = steps_of_append(10)
+        for seq in range(11, 1000):
+            steps_of_append(seq)
+        after_thousand = steps_of_append(1000)
+        assert after_thousand <= after_ten + 20, (after_ten, after_thousand)
+        store.close()
+
     def test_two_handles_on_one_file_agree_on_log_size(self, tmp_path):
         path = tmp_path / "shared.db"
         a, b = SQLiteStore(path), SQLiteStore(path)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.loaders import training_pairs
 from repro.ml.kmeans import average_similarity_to_center, kmeans, one_cluster_center
 from repro.ml.logistic import LogisticRegression
 from repro.ml.lstm import CharLSTMClassifier
@@ -93,6 +94,91 @@ class TestLogisticRegression:
             LogisticRegression(l2=-1.0)
         with pytest.raises(ValidationError):
             LogisticRegression(class_weight="bogus")
+
+
+def _reference_fit(model, features, labels):
+    """The former LogisticRegression.fit loop: masked sigmoid, np.clip, np.mean."""
+
+    def sigmoid(z):
+        out = np.empty_like(z, dtype=float)
+        positive = z >= 0
+        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+        exp_z = np.exp(z[~positive])
+        out[~positive] = exp_z / (1.0 + exp_z)
+        return out
+
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float).ravel()
+    n_samples = x.shape[0]
+    weights = np.zeros(x.shape[1])
+    bias = 0.0
+    history = []
+    sample_weights = model._sample_weights(y)
+    previous_loss = np.inf
+    for _ in range(int(model.n_iterations)):
+        probabilities = sigmoid(x @ weights + bias)
+        error = (probabilities - y) * sample_weights
+        grad_w = x.T @ error / n_samples + model.l2 * weights
+        grad_b = float(np.sum(error) / n_samples)
+        weights -= model.learning_rate * grad_w
+        bias -= model.learning_rate * grad_b
+        clipped = np.clip(probabilities, 1e-12, 1.0 - 1e-12)
+        nll = -np.mean(
+            sample_weights * (y * np.log(clipped) + (1 - y) * np.log(1 - clipped))
+        )
+        loss = float(nll + 0.5 * model.l2 * float(np.dot(weights, weights)))
+        history.append(loss)
+        if abs(previous_loss - loss) < model.tol:
+            break
+        previous_loss = loss
+    return weights, bias, history
+
+
+def _fit_hex(weights, bias, history):
+    return [float(w).hex() for w in weights], float(bias).hex(), [v.hex() for v in history]
+
+
+@st.composite
+def _logistic_problems(draw):
+    """Features at scales up to huge logits, any label balance, any settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_samples = draw(st.integers(1, 120))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0, 800.0]))
+    x = rng.normal(scale=scale, size=(n_samples, draw(st.integers(1, 4))))
+    y = (rng.random(n_samples) < draw(st.floats(0.0, 1.0))).astype(int)
+    model = LogisticRegression(
+        learning_rate=draw(st.sampled_from([0.05, 0.5, 3.0])),
+        n_iterations=draw(st.integers(1, 300)),
+        l2=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+        class_weight=draw(st.sampled_from([None, "balanced"])),
+    )
+    return model, x, y
+
+
+class TestLogisticExactness:
+    """fit is bit-for-bit the former loop (compared by float.hex)."""
+
+    @given(problem=_logistic_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_random_problems(self, problem):
+        model, x, y = problem
+        model.fit(x, y)
+        assert _fit_hex(model.weights_, model.bias_, model.loss_history_) == _fit_hex(
+            *_reference_fit(model, x, y)
+        )
+
+    def test_training_fit(self, fitted_initializer, dota2_dataset):
+        predictor = fitted_initializer.model.predictor
+        ((chat_log, highlights),) = training_pairs(dota2_dataset[:1])
+        windows = predictor._windows_for(chat_log)
+        x = predictor.extractor.feature_matrix(windows)[:, predictor.feature_set.column_indices]
+        y = predictor.extractor.label_windows(
+            windows, highlights, reaction_delay=predictor.reaction_delay
+        )
+        model = predictor.model
+        assert _fit_hex(model.weights_, model.bias_, model.loss_history_) == _fit_hex(
+            *_reference_fit(model, x, y)
+        )
 
 
 class TestKMeans:

@@ -10,7 +10,9 @@ also pins the window/feature layers the contract rests on.
 
 from __future__ import annotations
 
+import collections
 import json
+import re
 import statistics
 from pathlib import Path
 
@@ -38,6 +40,8 @@ from repro.loadgen.workload import LoadWorkload, WorkloadSpec
 from repro.ml.kmeans import average_similarity_to_center
 from repro.ml.text import BagOfWordsVectorizer, tokenize
 from repro.streaming import EmitPolicy, StreamingInitializer
+from repro.streaming import state as state_module
+from repro.streaming.state import IncrementalWindowState
 from repro.utils.validation import ValidationError
 
 # Snapshot JSON of a fixed stream, recorded with the list-based scorer: the
@@ -170,26 +174,15 @@ class TestWindowParity:
 
 
 class TestFeatureParity:
-    """WindowFeatureExtractor.raw_features is a replay of RunningWindowFeatures."""
+    """The seal's cached-token features equal WindowFeatureExtractor.raw_features."""
 
     def test_incremental_equals_batch_features(self, dota2_dataset):
         chat_log = dota2_dataset[1].chat_log
         windows = build_sliding_windows(chat_log, window_size=25.0, stride=12.5)
         extractor = WindowFeatureExtractor()
+        state = IncrementalWindowState(window_size=25.0, stride=12.5)
         for window in windows[:40]:
-            running = RunningWindowFeatures()
-            for message in window.messages:
-                running.add(message.text)
-            assert running.raw() == extractor.raw_features(window)
-
-    def test_pretokenized_add_matches(self):
-        texts = ["KILL!! PogChamp", "gg wp", "", "   ", "rampage rampage"]
-        plain = RunningWindowFeatures()
-        shared = RunningWindowFeatures()
-        for text in texts:
-            plain.add(text)
-            shared.add(text, tokens=tokenize(text))
-        assert plain.raw() == shared.raw()
+            assert state._summarise(window).raw == extractor.raw_features(window)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +223,10 @@ def _reference_features(texts):
     return (float(len(texts)), length, similarity)
 
 
+def _window_features(texts):
+    return RunningWindowFeatures.from_tokens([tokenize(text) for text in texts]).raw()
+
+
 def _hex(values):
     return [float(value).hex() for value in values]
 
@@ -260,6 +257,61 @@ def _message_matrices(draw):
     return np.where(present, values, 0).astype(float)
 
 
+_REFERENCE_TOKEN = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]+")
+
+
+def _reference_peak(window, bin_size=1.0, refine_radius=3.0):
+    """The former NumPy formulation of SlidingWindow.peak_timestamp."""
+    if not window.messages:
+        return window.start
+    n_bins = max(1, int(round(window.duration / bin_size)))
+    timestamps = np.fromiter(
+        (message.timestamp for message in window.messages),
+        dtype=float,
+        count=len(window.messages),
+    )
+    indices = np.minimum(n_bins - 1, ((timestamps - window.start) // bin_size).astype(np.int64))
+    if int(indices.min()) < 0:
+        counts = [0] * n_bins
+        for index in indices:
+            counts[int(index)] += 1
+        best_bin = max(range(n_bins), key=lambda i: counts[i])
+    else:
+        best_bin = int(np.argmax(np.bincount(indices, minlength=n_bins)))
+    coarse_peak = window.start + (best_bin + 0.5) * bin_size
+    nearby = timestamps[np.abs(timestamps - coarse_peak) <= refine_radius]
+    if nearby.size == 0:
+        return coarse_peak
+    return float(sum(nearby) / len(nearby))
+
+
+def _outcome(peak, *args):
+    """The peak as float.hex, or the exception type it raised."""
+    try:
+        return float(peak(*args)).hex()
+    except IndexError as error:
+        return type(error).__name__
+
+
+@st.composite
+def _peak_cases(draw):
+    """Hand-built windows: off-grid and tied timestamps, some before the start."""
+    start = draw(st.sampled_from([0.0, 5.0, 12.5, 100.0, 1234.5678]) | st.floats(0.0, 5e4))
+    duration = draw(st.sampled_from([0.5, 1.0, 12.5, 25.0, 40.0]) | st.floats(0.01, 200.0))
+    bin_size = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 7.0, 500.0]) | st.floats(0.01, 50.0))
+    refine_radius = draw(st.sampled_from([0.0, 0.5, 3.0, 10.0]) | st.floats(0.0, 100.0))
+    end = start + duration
+    timestamp = st.floats(max(0.0, start - duration), end, exclude_max=True)
+    if 0.5 * bin_size < duration:
+        # Bin centres make counts and nearby sets tie.
+        bins = st.integers(0, int(duration / bin_size))
+        centre = bins.map(lambda k: start + (k + 0.5) * bin_size).filter(lambda t: t < end)
+        timestamp = timestamp | centre
+    timestamps = draw(st.lists(timestamp, max_size=40))
+    window = SlidingWindow(start, end, [ChatMessage(timestamp=t) for t in timestamps])
+    return window, bin_size, refine_radius
+
+
 class TestFeaturizerExactness:
     """The np.vecdot featurizer is bitwise the per-row np.dot formulation."""
 
@@ -273,19 +325,13 @@ class TestFeaturizerExactness:
     @given(texts=_window_texts())
     @settings(max_examples=200, deadline=None)
     def test_window_features_match_reference(self, texts):
-        running = RunningWindowFeatures()
-        for text in texts:
-            running.add(text)
-        raw = running.raw()
+        raw = _window_features(texts)
         assert _hex([raw.message_number, raw.message_length, raw.message_similarity]) == _hex(
             _reference_features(texts)
         )
 
     def test_tokenless_messages_give_empty_vocabulary(self):
-        running = RunningWindowFeatures()
-        for text in ("gg", "wp", "lol"):
-            running.add(text, tokens=[])
-        raw = running.raw()
+        raw = RunningWindowFeatures.from_tokens([[], [], []]).raw()
         assert _hex([raw.message_number, raw.message_length, raw.message_similarity]) == _hex(
             [3.0, 0.0, 0.0]
         )
@@ -299,13 +345,84 @@ class TestFeaturizerExactness:
             for _ in range(30)
         ]
         texts[0] = " ".join(_WORDS[:n_terms])
-        running = RunningWindowFeatures()
-        for text in texts:
-            running.add(text)
-        raw = running.raw()
+        raw = _window_features(texts)
         assert _hex([raw.message_number, raw.message_length, raw.message_similarity]) == _hex(
             _reference_features(texts)
         )
+
+    # ---------------------------------------------------------------- peaks
+    @given(case=_peak_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_peak_matches_numpy_formulation(self, case):
+        window, bin_size, refine_radius = case
+        assert _outcome(window.peak_timestamp, bin_size, refine_radius) == _outcome(
+            _reference_peak, window, bin_size, refine_radius
+        )
+
+    @pytest.mark.parametrize(
+        "start, end, timestamps, bin_size, refine_radius",
+        [
+            # Messages before the start: negative bins count from the end.
+            (10.0, 35.0, [4.0, 9.5, 9.5, 12.0], 1.0, 3.0),
+            (10.0, 35.0, [0.0, 10.0], 1.0, 3.0),
+            # Single-bin windows.
+            (0.0, 1.0, [0.2, 0.9], 1.0, 3.0),
+            (5.0, 30.0, [5.0, 29.9, 17.25], 40.0, 0.5),
+            # Tied bins go to the earliest; a zero radius keeps exact hits only.
+            (0.0, 25.0, [3.5, 3.5, 20.5, 20.5], 1.0, 3.0),
+            (0.0, 25.0, [3.5, 20.5], 1.0, 0.0),
+            (0.0, 25.0, [3.25, 20.75], 0.5, 0.25),
+            # Integer timestamps.
+            (0.0, 25.0, [3, 4, 4, 24], 2.0, 1.5),
+        ],
+    )
+    def test_peak_edge_windows(self, start, end, timestamps, bin_size, refine_radius):
+        window = SlidingWindow(
+            start=start, end=end, messages=[ChatMessage(timestamp=t) for t in timestamps]
+        )
+        assert _outcome(window.peak_timestamp, bin_size, refine_radius) == _outcome(
+            _reference_peak, window, bin_size, refine_radius
+        )
+
+    # ------------------------------------------------------------- tokenize
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.text(alphabet=st.characters(max_codepoint=127)),
+            st.text(alphabet=st.sampled_from("İẞ\u212akKsſ \t\x1c!:_9aAß")),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_tokenize_lowers_each_token(self, text):
+        tokens = tokenize(text)
+        assert tokens == [token.lower() for token in _REFERENCE_TOKEN.findall(text)]
+        # The seal path reads "blank" off the tokens instead of the text.
+        assert bool(tokens) == bool(text.strip())
+
+    @pytest.mark.parametrize("text", ["İstanbul GG", "STRAẞE!!", "\u212aILL", "KILL!! PogChamp"])
+    def test_tokenize_special_casings(self, text):
+        assert tokenize(text) == [token.lower() for token in _REFERENCE_TOKEN.findall(text)]
+
+    @pytest.mark.parametrize("stride", [25.0 / 3.0, 12.5, 25.0])
+    def test_each_message_tokenized_once(self, monkeypatch, stride):
+        calls: collections.Counter = collections.Counter()
+
+        def counting_tokenize(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(state_module, "tokenize", counting_tokenize)
+        messages = [
+            ChatMessage(timestamp=index * 0.7, text=f"m{index} gg {_WORDS[index % 40]}")
+            for index in range(600)
+        ]
+        state = IncrementalWindowState(window_size=25.0, stride=stride)
+        for start in range(0, 333, 37):
+            state.add_batch(messages[start : start + 37])
+        for message in messages[333:]:
+            state.add(message)
+        state.finalize(messages[-1].timestamp + 1.0)
+        assert calls == collections.Counter(message.text for message in messages)
 
 
 # ---------------------------------------------------------------------------
