@@ -194,7 +194,7 @@ class StreamingWindowBuilder:
         if len(messages) == 1:
             return self.add(messages[0])
         timestamps = [message.timestamp for message in messages]
-        first, last = timestamps[0], float(timestamps[-1])
+        first, last = float(timestamps[0]), float(timestamps[-1])
         if first < self._last_timestamp or sorted(timestamps) != timestamps:
             out_of_order = first if first < self._last_timestamp else "within the batch"
             raise ValidationError(

@@ -332,7 +332,7 @@ class LightorWebService:
         be live: an LRU-evicted or already-ended channel reborn with only the
         tail of its chat would later overwrite the correct stored dots.  The
         whole batch crosses the service boundary once and folds into the
-        window state in one NumPy pass, with the emit-policy checkpoint
+        window state in one pass, with the emit-policy checkpoint
         evaluated once at the batch boundary.  The final (and persisted) red
         dots are byte-identical however the chat is chunked — a batch of one
         message is per-message ingest; only the provisional re-score cadence

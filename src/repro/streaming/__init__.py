@@ -6,7 +6,7 @@ highlights in the stream that is running *right now*?" — with three layers:
 
 1. :mod:`initializer <repro.streaming.initializer>` — an incremental
    prediction + adjustment engine that folds chat messages in one at a time
-   (``ingest``) or as a batch in one NumPy pass (``ingest_batch``) and
+   (``ingest``) or as a batch in one pass (``ingest_batch``) and
    maintains a provisional top-k of red dots under an emit/retract policy.
    Finalizing a stream reproduces the batch
    ``HighlightInitializer.propose`` output exactly regardless of how the

@@ -95,7 +95,7 @@ class TestBuilderBatchFold:
     @given(stream=chat_streams(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_add_batch_equals_per_message_add(self, stream, data):
-        """The NumPy fold seals the identical windows with identical members."""
+        """The batched fold seals the identical windows with identical members."""
         chunk_sizes = data.draw(partitions(len(stream)))
         for window_size, stride in ((25.0, 12.5), (25.0, 25.0), (30.0, 7.5)):
             single = StreamingWindowBuilder(window_size=window_size, stride=stride)
