@@ -1,24 +1,25 @@
 """SQLite storage backend (stdlib ``sqlite3``, WAL mode, dependency-free).
 
 The first durable backend behind the
-:class:`~repro.platform.backends.base.StorageBackend` contract: rows are the
-JSON codec forms of the core types (:mod:`repro.platform.codecs`), so
-everything that goes in comes back out round-trip exact.  File-backed stores
-survive process restarts; the default ``:memory:`` path gives a throwaway
-store with identical semantics for tests.
+:class:`~repro.platform.backends.base.StorageBackend` contract.  Videos, red
+dots and highlight records are JSON text rows in the codec forms of
+:mod:`repro.platform.codecs`, so everything that goes in comes back out
+round-trip exact.  File-backed stores survive process restarts; the default
+``:memory:`` path gives a throwaway store with identical semantics for tests.
 
-Chat and session snapshots — the firehose tables — additionally support the
-framed binary codec of :mod:`repro.platform.wire` (``storage_codec``, the
-default): a chat batch lands as **one** compressed blob row in
-``chat_batches`` instead of N JSON text rows, cutting both bytes/event and
-per-batch transaction work.  The format is migration-free by construction:
-new writes use the configured codec, reads dispatch on the stored value's
-type (``bytes`` → binary frame, ``str`` → JSON text), so a database written
-by any earlier version keeps reading — and both row shapes may coexist for
-one video (legacy per-message rows followed by batch rows share a single
-dense ``seq`` space).  The one schema change so far, format v3's nullable
-``interactions.after_chat`` stamp column, is added in place when an older
-file is opened; the rows already there read back unstamped.
+The two firehose logs are stored one way.  Each ``append_chat`` or
+``log_interactions`` batch lands as **one** row of ``chat_batches`` or
+``play_batches`` whose payload is a framed blob of
+:mod:`repro.platform.wire`; a play row also carries the batch's
+``after_chat`` stamp.  Session snapshots are frames too.  One helper
+appends a batch and one reads a log from an offset, so an append or a
+count costs the same few statements at any history length, and a suffix
+read touches only the batches that overlap it.
+
+That layout is storage format v4.  Opening a file of an older format
+converts it once, in one transaction: legacy per-message chat rows,
+per-row plays and JSON-text payloads become framed batch rows, and the
+legacy tables are dropped.  A file of a newer format is refused.
 
 Concurrency: one connection guarded by an ``RLock`` (created with
 ``check_same_thread=False`` so the sharded service tier can call in from
@@ -33,6 +34,7 @@ import json
 import sqlite3
 import threading
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -68,12 +70,6 @@ CREATE TABLE IF NOT EXISTS videos (
     video_id TEXT PRIMARY KEY,
     payload  TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS chat_messages (
-    video_id TEXT NOT NULL,
-    seq      INTEGER NOT NULL,
-    payload  TEXT NOT NULL,
-    PRIMARY KEY (video_id, seq)
-);
 CREATE TABLE IF NOT EXISTS chat_batches (
     video_id  TEXT NOT NULL,
     first_seq INTEGER NOT NULL,
@@ -81,16 +77,13 @@ CREATE TABLE IF NOT EXISTS chat_batches (
     payload   BLOB NOT NULL,
     PRIMARY KEY (video_id, first_seq)
 );
-CREATE TABLE IF NOT EXISTS interactions (
-    rowid      INTEGER PRIMARY KEY AUTOINCREMENT,
+CREATE TABLE IF NOT EXISTS play_batches (
     video_id   TEXT NOT NULL,
-    payload    TEXT NOT NULL,
-    after_chat INTEGER
-);
-CREATE INDEX IF NOT EXISTS idx_interactions_video ON interactions (video_id);
-CREATE TABLE IF NOT EXISTS interaction_counts (
-    video_id TEXT PRIMARY KEY,
-    n        INTEGER NOT NULL
+    first_seq  INTEGER NOT NULL,
+    n          INTEGER NOT NULL,
+    after_chat INTEGER,
+    payload    BLOB NOT NULL,
+    PRIMARY KEY (video_id, first_seq)
 );
 CREATE TABLE IF NOT EXISTS red_dots (
     video_id TEXT NOT NULL,
@@ -119,6 +112,64 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 
+def _convert_legacy_rows(connection: sqlite3.Connection) -> None:
+    """Rewrite an older file's firehose rows in the v4 layout.
+
+    Legacy per-message ``chat_messages`` become one chat batch per video at
+    seq 0.  Per-row ``interactions`` become play batches, one per maximal
+    run of equal ``after_chat`` stamps in rowid order (v2 rows have no
+    stamp and convert unstamped).  JSON-text chat batches and snapshots
+    become frames.  Then the legacy tables are dropped.  The caller's
+    transaction makes the conversion all-or-nothing: a corrupt legacy row
+    raises and leaves the file as it was.
+    """
+    tables = {
+        name
+        for (name,) in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+    if "chat_messages" in tables:
+        rows = connection.execute(
+            "SELECT video_id, payload FROM chat_messages ORDER BY video_id, seq"
+        )
+        for video_id, video_rows in itertools.groupby(rows, key=itemgetter(0)):
+            items = [json.loads(payload) for _video_id, payload in video_rows]
+            connection.execute(
+                "INSERT INTO chat_batches (video_id, first_seq, n, payload) "
+                "VALUES (?, 0, ?, ?)",
+                (video_id, len(items), wire.encode_frame(items)),
+            )
+    if "interactions" in tables:
+        columns = {row[1] for row in connection.execute("PRAGMA table_info(interactions)")}
+        stamp = "after_chat" if "after_chat" in columns else "NULL"
+        rows = connection.execute(
+            f"SELECT video_id, {stamp}, payload FROM interactions "
+            "ORDER BY video_id, rowid"
+        )
+        for video_id, video_rows in itertools.groupby(rows, key=itemgetter(0)):
+            first_seq = 0
+            for after_chat, run in itertools.groupby(video_rows, key=itemgetter(1)):
+                items = [json.loads(payload) for _video_id, _stamp, payload in run]
+                connection.execute(
+                    "INSERT INTO play_batches "
+                    "(video_id, first_seq, n, after_chat, payload) VALUES (?, ?, ?, ?, ?)",
+                    (video_id, first_seq, len(items), after_chat, wire.encode_frame(items)),
+                )
+                first_seq += len(items)
+    for table in ("chat_batches", "session_snapshots"):
+        text_rows = connection.execute(
+            f"SELECT rowid, payload FROM {table} WHERE typeof(payload) = 'text'"
+        ).fetchall()
+        for rowid, payload in text_rows:
+            connection.execute(
+                f"UPDATE {table} SET payload = ? WHERE rowid = ?",
+                (wire.encode_frame(json.loads(payload)), rowid),
+            )
+    for table in ("chat_messages", "interactions", "interaction_counts"):
+        connection.execute(f"DROP TABLE IF EXISTS {table}")
+
+
 class SQLiteStore(StorageBackend):
     """A :class:`StorageBackend` persisted in a SQLite database.
 
@@ -134,93 +185,68 @@ class SQLiteStore(StorageBackend):
         *process* on the same file contends for real.  When the timeout is
         still exhausted the failure surfaces as :class:`SQLiteBusyError`
         naming the db path.
-    storage_codec:
-        Row format for *new* chat-batch and snapshot writes: ``"binary"``
-        (the default — framed, compressed blobs) or ``"json"`` (the
-        pre-codec text rows).  Reads are codec-blind either way — they
-        dispatch on the stored value's type, so the knob never strands
-        existing data.
     """
 
     # Bumped when the *write* format grows a shape old readers cannot parse.
-    # v2 = chat_batches blob rows + binary snapshot frames (reads of every
-    # older shape keep working, so there is no migration step to run).
+    # v2 = chat_batches blob rows + binary snapshot frames.
     # v3 = the ``interactions.after_chat`` stamp column: the suffix past a
     # session checkpoint may now mix chat and plays, which only a reader
-    # that orders them by the stamps can replay.  Opening an older file
-    # adds the (nullable) column; its rows stay unstamped.
+    # that orders them by the stamps can replay.
+    # v4 = ``play_batches``: one framed row per logged play batch, stamp
+    # included, and every chat and snapshot payload a frame.  Opening an
+    # older file converts it (:func:`_convert_legacy_rows`).
     STORAGE_FORMAT_KEY = "storage_format_version"
-    STORAGE_FORMAT_VERSION = "3"
+    STORAGE_FORMAT_VERSION = "4"
 
-    def __init__(
-        self,
-        path: str | Path = ":memory:",
-        *,
-        busy_timeout_ms: int = 5000,
-        storage_codec: str = "binary",
-    ) -> None:
+    def __init__(self, path: str | Path = ":memory:", *, busy_timeout_ms: int = 5000) -> None:
         if busy_timeout_ms < 0:
             raise ValidationError("busy_timeout_ms must be >= 0")
-        if storage_codec not in wire.WIRE_CODECS:
-            raise ValidationError(
-                f"unknown storage codec {storage_codec!r} "
-                f"(expected one of {wire.WIRE_CODECS})"
-            )
         self.path = str(path)
         self.busy_timeout_ms = int(busy_timeout_ms)
-        self.storage_codec = storage_codec
         self._lock = threading.RLock()
         self._connection = sqlite3.connect(self.path, check_same_thread=False)  # guarded-by: _lock
-        with self._lock, self._guard(), self._connection:
+        with self._lock, self._guard():
             self._connection.execute("PRAGMA journal_mode=WAL")
             self._connection.execute("PRAGMA synchronous=NORMAL")
             self._connection.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
-            self._connection.executescript(_SCHEMA)
-            # Reject files written by a *newer* format before touching any
-            # row: a v2 reader has no idea what shapes v3 persisted, and
-            # half-parsing them would corrupt, not fail.  Older formats
-            # keep opening — the read paths are codec-blind by design.
-            stored = self._connection.execute(
-                "SELECT value FROM meta WHERE key = ?", (self.STORAGE_FORMAT_KEY,)
-            ).fetchone()
-            if stored is not None and int(stored[0]) > int(self.STORAGE_FORMAT_VERSION):
-                raise ValidationError(
-                    f"{self.path} was written by storage format v{stored[0]}; "
-                    f"this build reads at most v{self.STORAGE_FORMAT_VERSION} — "
-                    "upgrade the code, not the file"
-                )
-            columns = {
-                row[1]
-                for row in self._connection.execute("PRAGMA table_info(interactions)")
-            }
-            if "after_chat" not in columns:
-                self._connection.execute(
-                    "ALTER TABLE interactions ADD COLUMN after_chat INTEGER"
-                )
-            self._connection.execute(
+        # Schema, format check and any conversion share one write
+        # transaction, so a failed or concurrent open leaves the file as it
+        # was.  A failed open also closes its connection: no caller holds
+        # the store to close it.
+        try:
+            with self._write() as connection:
+                self._open_format(connection)
+        except BaseException:
+            self._connection.close()
+            raise
+
+    def _open_format(self, connection: sqlite3.Connection) -> None:
+        """Create the schema, refuse a newer format and convert an older one.
+
+        Each statement goes through ``execute``: ``executescript`` would
+        commit the caller's open transaction first.
+        """
+        for statement in _SCHEMA.split(";"):
+            if statement.strip():
+                connection.execute(statement)
+        row = connection.execute(
+            "SELECT value FROM meta WHERE key = ?", (self.STORAGE_FORMAT_KEY,)
+        ).fetchone()
+        stored = None if row is None else row[0]
+        # A file of a newer format is refused before any row is read:
+        # half-parsing shapes this build does not know would corrupt, not fail.
+        if stored is not None and int(stored) > int(self.STORAGE_FORMAT_VERSION):
+            raise ValidationError(
+                f"{self.path} was written by storage format v{stored}; "
+                f"this build reads at most v{self.STORAGE_FORMAT_VERSION} — "
+                "upgrade the code, not the file"
+            )
+        if stored != self.STORAGE_FORMAT_VERSION:
+            _convert_legacy_rows(connection)
+            connection.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                 (self.STORAGE_FORMAT_KEY, self.STORAGE_FORMAT_VERSION),
             )
-
-    # ------------------------------------------------------- codec dispatch
-    def _encode_payload(self, value) -> bytes | str:
-        """Encode a value tree in the configured storage codec.
-
-        Both branches enforce the same strictness (``allow_nan=False`` /
-        the frame codec's non-finite rejection) and the binary frame decodes
-        to exactly what a strict JSON round-trip would give — so what codec
-        a row was *written* with is unobservable to readers.
-        """
-        if self.storage_codec == "binary":
-            return wire.encode_frame(value)
-        return json.dumps(value, allow_nan=False)
-
-    @staticmethod
-    def _decode_payload(payload: bytes | str):
-        """Decode a stored value by its type — blobs are frames, text is JSON."""
-        if isinstance(payload, bytes):
-            return wire.decode_frame(payload)
-        return json.loads(payload)
 
     @contextmanager
     def _guard(self):
@@ -232,6 +258,23 @@ class SQLiteStore(StorageBackend):
             if "locked" in message or "busy" in message:
                 raise SQLiteBusyError(self.path, self.busy_timeout_ms, error) from error
             raise
+
+    @contextmanager
+    def _write(self):
+        """One ``BEGIN IMMEDIATE`` transaction, yielding the connection.
+
+        The write lock is taken *before* the body reads anything, so a seq
+        or version the body reads cannot be read by another handle on the
+        same file until this transaction commits.
+        """
+        with self._lock, self._guard():
+            self._connection.execute("BEGIN IMMEDIATE")
+            try:
+                yield self._connection
+            except BaseException:
+                self._connection.execute("ROLLBACK")
+                raise
+            self._connection.execute("COMMIT")
 
     # ---------------------------------------------------------------- videos
     def put_video(self, video: Video) -> None:
@@ -269,34 +312,77 @@ class SQLiteStore(StorageBackend):
             ).fetchall()
         return [codecs.video_from_dict(json.loads(row[0])) for row in rows]
 
-    # ------------------------------------------------------------------ chat
-    # Chat lives in two tables sharing one dense seq space: legacy
-    # ``chat_messages`` (one JSON text row per message, what pre-codec
-    # versions wrote) and ``chat_batches`` (one blob row per ingest batch,
-    # covering seqs [first_seq, first_seq + n)).  Writers only add batches;
-    # readers merge both so any mix of generations reads back in order.
-    # Batches tile the seq space, so the one with the highest first_seq ends
-    # it; finding that batch is one step down the (video_id, first_seq) key,
-    # where MAX(first_seq + n) would read every batch of the channel.
-    _NEXT_SEQ_SQL = (
-        "SELECT MAX("
-        " (SELECT COALESCE(MAX(seq), -1) FROM chat_messages WHERE video_id = ?),"
-        " COALESCE((SELECT first_seq + n FROM chat_batches WHERE video_id = ?"
-        "  ORDER BY first_seq DESC LIMIT 1), 0) - 1"
-        ") + 1"
-    )
+    # ------------------------------------------------------------ batch logs
+    # Chat and plays are both logs of framed batch rows: a row of
+    # ``chat_batches`` or ``play_batches`` holds one ingest batch, covering
+    # seqs [first_seq, first_seq + n) of its video, and the rows tile the
+    # seq space from 0.  So the row with the highest first_seq ends the log
+    # and the row with the highest first_seq <= offset starts a suffix; each
+    # is one step down the (video_id, first_seq) key at any history length.
+    def _next_seq(self, table: str, video_id: str) -> int:
+        """The size of one video's log: where its last batch ends."""
+        with self._lock:
+            row = self._connection.execute(
+                f"SELECT first_seq + n FROM {table} WHERE video_id = ? "
+                "ORDER BY first_seq DESC LIMIT 1",
+                (video_id,),
+            ).fetchone()
+        return 0 if row is None else int(row[0])
 
+    def _append_batch(self, table: str, video_id: str, items: list, **stamp) -> int:
+        """Append ``items`` as one framed row; returns the new log size.
+
+        One ``BEGIN IMMEDIATE`` transaction with one insert, whatever the
+        batch size, and the next seq is read under the write lock so two
+        handles on one file cannot allocate colliding ranges.  ``stamp``
+        fills the table's extra columns.  An empty batch writes no row.
+        """
+        payload = wire.encode_frame(items)
+        columns = ("video_id", "first_seq", "n", *stamp, "payload")
+        insert = (
+            f"INSERT INTO {table} ({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' * len(columns))})"
+        )
+        with self._write() as connection:
+            first_seq = self._next_seq(table, video_id)
+            if items:
+                connection.execute(
+                    insert, (video_id, first_seq, len(items), *stamp.values(), payload)
+                )
+        return first_seq + len(items)
+
+    def _batches_since(
+        self, table: str, columns: str, video_id: str, offset: int
+    ) -> list[tuple]:
+        """``(first_seq, n, *columns)`` of the batches holding seqs ``>= offset``."""
+        with self._lock:
+            return self._connection.execute(
+                f"SELECT first_seq, n, {columns} FROM {table} "
+                "WHERE video_id = ? AND first_seq + n > ? AND first_seq >= COALESCE("
+                f" (SELECT first_seq FROM {table} WHERE video_id = ? AND first_seq <= ?"
+                "  ORDER BY first_seq DESC LIMIT 1), 0) "
+                "ORDER BY first_seq",
+                (video_id, offset, video_id, offset),
+            ).fetchall()
+
+    def _items_since(self, table: str, video_id: str, offset: int) -> list[dict]:
+        """The decoded items of one video's log from seq ``offset`` on."""
+        items: list[dict] = []
+        for first_seq, _n, payload in self._batches_since(
+            table, "payload", video_id, offset
+        ):
+            items.extend(wire.decode_frame(payload)[max(offset - first_seq, 0) :])
+        return items
+
+    # ------------------------------------------------------------------ chat
     def put_chat(self, video_id: str, messages: Iterable[ChatMessage]) -> int:
         """Store chat for a video (idempotent: replaces any previous crawl)."""
         self._require_known_video(video_id, "store chat")
         stored = sorted(messages, key=lambda m: m.timestamp)
-        payload = self._encode_payload(
+        payload = wire.encode_frame(
             [codecs.chat_message_to_dict(message) for message in stored]
         )
         with self._lock, self._guard(), self._connection:
-            self._connection.execute(
-                "DELETE FROM chat_messages WHERE video_id = ?", (video_id,)
-            )
             self._connection.execute(
                 "DELETE FROM chat_batches WHERE video_id = ?", (video_id,)
             )
@@ -311,93 +397,38 @@ class SQLiteStore(StorageBackend):
     def append_chat(self, video_id: str, messages: Iterable[ChatMessage]) -> int:
         """Append live-ingested chat in arrival order; returns the new size.
 
-        The whole batch commits as **one** blob row in **one** ``BEGIN
-        IMMEDIATE`` transaction — one insert and one fsync per batch
-        whatever the batch size, which is what makes the per-message cost
-        of a chat firehose amortisable.  The write lock is taken before
-        reading the next sequence number so two handles on the same file
-        cannot allocate colliding ranges.
+        The whole batch commits as one row in one transaction — one insert
+        and one fsync per batch whatever the batch size, which is what makes
+        the per-message cost of a chat firehose amortisable.
         """
         self._require_known_video(video_id, "append chat")
         rows = [codecs.chat_message_to_dict(message) for message in messages]
-        payload = self._encode_payload(rows)
-        with self._lock, self._guard():
-            self._connection.execute("BEGIN IMMEDIATE")
-            try:
-                first_seq = self._connection.execute(
-                    self._NEXT_SEQ_SQL, (video_id, video_id)
-                ).fetchone()[0]
-                if rows:
-                    self._connection.execute(
-                        "INSERT INTO chat_batches (video_id, first_seq, n, payload) "
-                        "VALUES (?, ?, ?, ?)",
-                        (video_id, first_seq, len(rows), payload),
-                    )
-            except BaseException:
-                self._connection.execute("ROLLBACK")
-                raise
-            self._connection.execute("COMMIT")
-        return int(first_seq) + len(rows)
+        return self._append_batch("chat_batches", video_id, rows)
 
     def has_chat(self, video_id: str) -> bool:
         """Whether chat has been crawled for the video."""
         with self._lock:
             row = self._connection.execute(
-                "SELECT 1 FROM chat_messages WHERE video_id = ? "
-                "UNION ALL SELECT 1 FROM chat_batches WHERE video_id = ? LIMIT 1",
-                (video_id, video_id),
+                "SELECT 1 FROM chat_batches WHERE video_id = ? LIMIT 1", (video_id,)
             ).fetchone()
         return row is not None
-
-    def _chat_dicts_since(self, video_id: str, offset: int) -> list[dict]:
-        """Codec dicts for seqs ``>= offset``, merged across both row shapes.
-
-        Seqs are dense from 0 (``put_chat`` restarts them, ``append_chat``
-        continues them), so a count offset *is* a seq bound — legacy rows
-        filter in SQL, and only batches overlapping the suffix are decoded.
-        """
-        with self._lock:
-            legacy = self._connection.execute(
-                "SELECT seq, payload FROM chat_messages "
-                "WHERE video_id = ? AND seq >= ? ORDER BY seq",
-                (video_id, offset),
-            ).fetchall()
-            batches = self._connection.execute(
-                "SELECT first_seq, payload FROM chat_batches "
-                "WHERE video_id = ? AND first_seq + n > ? ORDER BY first_seq",
-                (video_id, offset),
-            ).fetchall()
-        entries = [(seq, json.loads(payload)) for seq, payload in legacy]
-        for first_seq, payload in batches:
-            for index, item in enumerate(self._decode_payload(payload)):
-                seq = first_seq + index
-                if seq >= offset:
-                    entries.append((seq, item))
-        entries.sort(key=lambda entry: entry[0])
-        return [item for _seq, item in entries]
 
     def get_chat(self, video_id: str) -> list[ChatMessage]:
         """Return the crawled chat messages (empty list when not crawled)."""
         return [
             codecs.chat_message_from_dict(item)
-            for item in self._chat_dicts_since(video_id, 0)
+            for item in self._items_since("chat_batches", video_id, 0)
         ]
 
     def count_chat(self, video_id: str) -> int:
-        """Number of stored chat messages (row counts only, no payload decode)."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT (SELECT COUNT(*) FROM chat_messages WHERE video_id = ?) + "
-                "(SELECT COALESCE(SUM(n), 0) FROM chat_batches WHERE video_id = ?)",
-                (video_id, video_id),
-            ).fetchone()
-        return int(row[0])
+        """Number of stored chat messages (one key step, no payload decode)."""
+        return self._next_seq("chat_batches", video_id)
 
     def get_chat_since(self, video_id: str, offset: int) -> list[ChatMessage]:
         """Chat from ``offset`` on — O(suffix) rows read and decoded."""
         return [
             codecs.chat_message_from_dict(item)
-            for item in self._chat_dicts_since(video_id, offset)
+            for item in self._items_since("chat_batches", video_id, offset)
         ]
 
     # ---------------------------------------------------------- interactions
@@ -410,76 +441,42 @@ class SQLiteStore(StorageBackend):
     ) -> int:
         """Append viewer interactions for a video; returns the new log size.
 
-        Every row of the batch carries the batch's ``after_chat`` stamp,
-        written in the same transaction as the rows themselves.
+        The batch is one row carrying its ``after_chat`` stamp, written in
+        one transaction like a chat batch.
         """
         self._require_known_video(video_id, "log interactions")
-        rows = [
-            (
-                video_id,
-                json.dumps(codecs.interaction_to_dict(interaction), allow_nan=False),
-                after_chat,
-            )
-            for interaction in interactions
-        ]
-        with self._lock, self._guard(), self._connection:
-            self._connection.executemany(
-                "INSERT INTO interactions (video_id, payload, after_chat) "
-                "VALUES (?, ?, ?)",
-                rows,
-            )
-            # A transactional running total keeps the append O(batch) without
-            # going stale when several handles share one database file.
-            self._connection.execute(
-                "INSERT INTO interaction_counts (video_id, n) VALUES (?, ?) "
-                "ON CONFLICT(video_id) DO UPDATE SET n = n + excluded.n",
-                (video_id, len(rows)),
-            )
-            count = self._connection.execute(
-                "SELECT n FROM interaction_counts WHERE video_id = ?", (video_id,)
-            ).fetchone()[0]
-        return int(count)
+        rows = [codecs.interaction_to_dict(interaction) for interaction in interactions]
+        return self._append_batch("play_batches", video_id, rows, after_chat=after_chat)
 
     def get_interactions(self, video_id: str) -> list[Interaction]:
         """All logged interactions for the video, in arrival (log) order."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT payload FROM interactions WHERE video_id = ? ORDER BY rowid",
-                (video_id,),
-            ).fetchall()
-        return [codecs.interaction_from_dict(json.loads(row[0])) for row in rows]
+        return [
+            codecs.interaction_from_dict(item)
+            for item in self._items_since("play_batches", video_id, 0)
+        ]
 
     def count_interactions(self, video_id: str) -> int:
-        """Number of logged interactions (COUNT(*), no payload decode)."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM interactions WHERE video_id = ?", (video_id,)
-            ).fetchone()
-        return int(row[0])
+        """Number of logged interactions (one key step, no payload decode)."""
+        return self._next_seq("play_batches", video_id)
 
     def get_interactions_since(self, video_id: str, offset: int) -> list[Interaction]:
-        """Interaction rows from ``offset`` on — O(suffix) rows read."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT payload FROM interactions WHERE video_id = ? "
-                "ORDER BY rowid LIMIT -1 OFFSET ?",
-                (video_id, offset),
-            ).fetchall()
-        return [codecs.interaction_from_dict(json.loads(row[0])) for row in rows]
+        """Interactions from ``offset`` on — O(suffix) rows read and decoded."""
+        return [
+            codecs.interaction_from_dict(item)
+            for item in self._items_since("play_batches", video_id, offset)
+        ]
 
     def get_interaction_stamps_since(
         self, video_id: str, offset: int
     ) -> list[tuple[int | None, int]]:
-        """``(after_chat, n_rows)`` runs of the rows from ``offset`` on (no payloads)."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT after_chat FROM interactions WHERE video_id = ? "
-                "ORDER BY rowid LIMIT -1 OFFSET ?",
-                (video_id, offset),
-            ).fetchall()
+        """``(after_chat, n_rows)`` runs of the rows from ``offset`` on (no payloads).
+
+        Adjacent batches with equal stamps merge into one maximal run.
+        """
+        batches = self._batches_since("play_batches", "after_chat", video_id, offset)
         return [
-            (after_chat, sum(1 for _ in run))
-            for (after_chat,), run in itertools.groupby(rows)
+            (after_chat, sum(n - max(offset - first_seq, 0) for first_seq, n, _ in run))
+            for after_chat, run in itertools.groupby(batches, key=itemgetter(2))
         ]
 
     # -------------------------------------------------------------- red dots
@@ -526,32 +523,26 @@ class SQLiteStore(StorageBackend):
     ) -> HighlightRecord:
         """Append a refined highlight result; versions increase monotonically."""
         self._require_known_video(video_id, "store highlights")
-        with self._lock, self._guard():
-            # Take the write lock *before* reading MAX(version): a deferred
-            # transaction would let another handle on the same file read the
-            # same version and collide on the primary key.
-            self._connection.execute("BEGIN IMMEDIATE")
-            try:
-                version = (
-                    self._connection.execute(
-                        "SELECT COALESCE(MAX(version), 0) FROM highlight_records "
-                        "WHERE video_id = ?",
-                        (video_id,),
-                    ).fetchone()[0]
-                    + 1
-                )
-                record = HighlightRecord(
-                    video_id=video_id, highlight=highlight, version=version, source=source
-                )
-                self._connection.execute(
-                    "INSERT INTO highlight_records (video_id, version, payload) "
-                    "VALUES (?, ?, ?)",
-                    (video_id, version, json.dumps(codecs.highlight_record_to_dict(record), allow_nan=False)),
-                )
-            except BaseException:
-                self._connection.execute("ROLLBACK")
-                raise
-            self._connection.execute("COMMIT")
+        # The write lock is taken *before* MAX(version) is read: a deferred
+        # transaction would let another handle on the same file read the
+        # same version and collide on the primary key.
+        with self._write() as connection:
+            version = (
+                connection.execute(
+                    "SELECT COALESCE(MAX(version), 0) FROM highlight_records "
+                    "WHERE video_id = ?",
+                    (video_id,),
+                ).fetchone()[0]
+                + 1
+            )
+            record = HighlightRecord(
+                video_id=video_id, highlight=highlight, version=version, source=source
+            )
+            connection.execute(
+                "INSERT INTO highlight_records (video_id, version, payload) "
+                "VALUES (?, ?, ?)",
+                (video_id, version, json.dumps(codecs.highlight_record_to_dict(record), allow_nan=False)),
+            )
         return record
 
     def highlight_history(self, video_id: str) -> list[HighlightRecord]:
@@ -570,13 +561,12 @@ class SQLiteStore(StorageBackend):
 
         One ``INSERT OR REPLACE`` in one implicit transaction: a crash during
         the write leaves the previous checkpoint intact, never a torn one.
-        Both codecs reject any payload that would not survive a strict JSON
-        parse at recovery time (``allow_nan=False`` / the frame codec's
-        non-finite rejection), and encoding happens *before* the write so a
-        rejected payload stores nothing.
+        The frame codec rejects any payload that would not survive a strict
+        JSON parse at recovery time (a non-finite float raises), and encoding
+        happens *before* the write so a rejected payload stores nothing.
         """
         self._require_known_video(video_id, "store a session snapshot")
-        encoded = self._encode_payload(payload)
+        encoded = wire.encode_frame(payload)
         with self._lock, self._guard(), self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO session_snapshots (video_id, payload) "
@@ -590,7 +580,7 @@ class SQLiteStore(StorageBackend):
             rows = self._connection.execute(
                 "SELECT video_id, payload FROM session_snapshots ORDER BY video_id"
             ).fetchall()
-        return {row[0]: self._decode_payload(row[1]) for row in rows}
+        return {row[0]: wire.decode_frame(row[1]) for row in rows}
 
     def delete_session_snapshot(self, video_id: str) -> bool:
         """Drop a session checkpoint; returns whether one existed."""
@@ -607,14 +597,14 @@ class SQLiteStore(StorageBackend):
                 "SELECT payload FROM session_snapshots WHERE video_id = ?",
                 (video_id,),
             ).fetchone()
-        return None if row is None else self._decode_payload(row[0])
+        return None if row is None else wire.decode_frame(row[0])
 
     # ------------------------------------------------------ channel migration
     def delete_channel(self, video_id: str) -> bool:
         """Remove every stored row for one channel in one transaction.
 
         The migration source-cleanup primitive: either the channel's video,
-        chat (both row formats), interactions, red dots, highlight records
+        chat, interactions, red dots, highlight records
         and snapshot are all gone, or — on a crash mid-delete — none are.
         """
         with self._lock, self._guard(), self._connection:
@@ -623,10 +613,8 @@ class SQLiteStore(StorageBackend):
             )
             existed = cursor.rowcount > 0
             for table in (
-                "chat_messages",
                 "chat_batches",
-                "interactions",
-                "interaction_counts",
+                "play_batches",
                 "red_dots",
                 "red_dot_sets",
                 "highlight_records",
@@ -643,15 +631,9 @@ class SQLiteStore(StorageBackend):
         with self._lock:
             counts = {
                 "videos": "SELECT COUNT(*) FROM videos",
-                "videos_with_chat": (
-                    "SELECT COUNT(*) FROM (SELECT video_id FROM chat_messages "
-                    "UNION SELECT video_id FROM chat_batches)"
-                ),
-                "chat_messages": (
-                    "SELECT (SELECT COUNT(*) FROM chat_messages) + "
-                    "(SELECT COALESCE(SUM(n), 0) FROM chat_batches)"
-                ),
-                "interactions": "SELECT COUNT(*) FROM interactions",
+                "videos_with_chat": "SELECT COUNT(DISTINCT video_id) FROM chat_batches",
+                "chat_messages": "SELECT COALESCE(SUM(n), 0) FROM chat_batches",
+                "interactions": "SELECT COALESCE(SUM(n), 0) FROM play_batches",
                 "red_dots": "SELECT COUNT(*) FROM red_dots",
                 "highlight_records": "SELECT COUNT(*) FROM highlight_records",
                 "session_snapshots": "SELECT COUNT(*) FROM session_snapshots",

@@ -10,11 +10,13 @@ WAL mode) is tested separately below.
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
 
 from repro.core.types import ChatMessage, Highlight, Interaction, InteractionKind, RedDot, Video
+from repro.platform import codecs, wire
 from repro.platform.backends import (
     InMemoryStore,
     SQLiteBusyError,
@@ -363,6 +365,23 @@ class TestBackendContract:
         assert stats["session_snapshots"] == 0
 
 
+# Calls whose cost must not grow with a video's history, given the number
+# of chat and play batches already logged.
+_HISTORY_OPERATIONS = {
+    "append_chat": lambda store, n: store.append_chat(
+        "v1", [ChatMessage(float(n), "u", "gg")]
+    ),
+    "log_interactions": lambda store, n: store.log_interactions(
+        "v1", [Interaction(float(n), InteractionKind.PLAY, "u")], after_chat=n
+    ),
+    "count_chat": lambda store, n: store.count_chat("v1"),
+    "count_interactions": lambda store, n: store.count_interactions("v1"),
+    "get_interaction_stamps_since": lambda store, n: store.get_interaction_stamps_since(
+        "v1", n - 1
+    ),
+}
+
+
 class TestSQLiteSpecifics:
     def test_two_handles_on_one_file_version_monotonically(self, tmp_path):
         path = tmp_path / "versions-shared.db"
@@ -387,33 +406,61 @@ class TestSQLiteSpecifics:
         assert [m.text for m in b.get_chat("v1")] == ["x", "y", "z"]
         a.close(), b.close()
 
-    def test_append_chat_cost_does_not_grow_with_history(self):
-        # SQLite VM steps are a count, not a timing: an append after 1,000
-        # batches may cost only a constant more than one after 10.
-        store = SQLiteStore()
-        store.put_video(_video())
+    @pytest.mark.parametrize("operation", sorted(_HISTORY_OPERATIONS))
+    def test_append_chat_cost_does_not_grow_with_history(self, operation):
+        # SQLite VM steps are a count, not a timing: a call after 1,000
+        # batches of chat and of plays may cost only a constant more than
+        # one after 10.  The reference store checks what each call returns.
+        store, reference = SQLiteStore(), InMemoryStore()
+        call = _HISTORY_OPERATIONS[operation]
         steps = [0]
 
         def count_step():
             steps[0] += 1
             return 0
 
-        def steps_of_append(seq):
+        def grow(start, stop):
+            for backend in (store, reference):
+                for seq in range(start, stop):
+                    backend.append_chat("v1", [ChatMessage(float(seq), "u", "gg")])
+                    backend.log_interactions(
+                        "v1", [Interaction(float(seq), InteractionKind.PLAY, "u")], after_chat=seq
+                    )
+
+        def steps_of_call(history):
+            expected = call(reference, history)
             steps[0] = 0
             store._connection.set_progress_handler(count_step, 1)
             try:
-                assert store.append_chat("v1", [ChatMessage(float(seq), "u", "gg")]) == seq + 1
+                assert call(store, history) == expected
             finally:
                 store._connection.set_progress_handler(None, 1)
             return steps[0]
 
-        for seq in range(10):
-            steps_of_append(seq)
-        after_ten = steps_of_append(10)
-        for seq in range(11, 1000):
-            steps_of_append(seq)
-        after_thousand = steps_of_append(1000)
+        for backend in (store, reference):
+            backend.put_video(_video())
+        grow(0, 10)
+        after_ten = steps_of_call(10)
+        grow(10, 1000)
+        after_thousand = steps_of_call(1000)
         assert after_thousand <= after_ten + 20, (after_ten, after_thousand)
+        store.close()
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 64])
+    def test_plays_and_chat_batches_run_the_same_statements(self, tmp_path, batch_size):
+        store = SQLiteStore(tmp_path / "statements.db")
+        store.put_video(_video())
+        statements = {"chat": [], "plays": []}
+        store._connection.set_trace_callback(statements["chat"].append)
+        store.append_chat("v1", [ChatMessage(float(i), "u", "gg") for i in range(batch_size)])
+        store._connection.set_trace_callback(statements["plays"].append)
+        store.log_interactions(
+            "v1",
+            [Interaction(float(i), InteractionKind.PLAY, "u") for i in range(batch_size)],
+            after_chat=batch_size,
+        )
+        store._connection.set_trace_callback(None)
+        assert len(statements["plays"]) == len(statements["chat"]), statements
         store.close()
 
     def test_two_handles_on_one_file_agree_on_log_size(self, tmp_path):
@@ -544,8 +591,139 @@ class TestBusyContention:
             store.close()
 
 
+# Storage format v3, frozen: the DDL of a file written before format v4.
+_V3_SCHEMA = """
+CREATE TABLE videos (
+    video_id TEXT PRIMARY KEY,
+    payload  TEXT NOT NULL
+);
+CREATE TABLE chat_messages (
+    video_id TEXT NOT NULL,
+    seq      INTEGER NOT NULL,
+    payload  TEXT NOT NULL,
+    PRIMARY KEY (video_id, seq)
+);
+CREATE TABLE chat_batches (
+    video_id  TEXT NOT NULL,
+    first_seq INTEGER NOT NULL,
+    n         INTEGER NOT NULL,
+    payload   BLOB NOT NULL,
+    PRIMARY KEY (video_id, first_seq)
+);
+CREATE TABLE interactions (
+    rowid      INTEGER PRIMARY KEY AUTOINCREMENT,
+    video_id   TEXT NOT NULL,
+    payload    TEXT NOT NULL,
+    after_chat INTEGER
+);
+CREATE INDEX idx_interactions_video ON interactions (video_id);
+CREATE TABLE interaction_counts (
+    video_id TEXT PRIMARY KEY,
+    n        INTEGER NOT NULL
+);
+CREATE TABLE red_dots (
+    video_id TEXT NOT NULL,
+    seq      INTEGER NOT NULL,
+    payload  TEXT NOT NULL,
+    PRIMARY KEY (video_id, seq)
+);
+CREATE TABLE red_dot_sets (
+    video_id TEXT PRIMARY KEY,
+    n        INTEGER NOT NULL
+);
+CREATE TABLE highlight_records (
+    video_id TEXT NOT NULL,
+    version  INTEGER NOT NULL,
+    payload  TEXT NOT NULL,
+    PRIMARY KEY (video_id, version)
+);
+CREATE TABLE session_snapshots (
+    video_id TEXT PRIMARY KEY,
+    payload  TEXT NOT NULL
+);
+CREATE TABLE meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+"""
+
+_LEGACY_TABLES = {"chat_messages", "interactions", "interaction_counts"}
+
+
+def _write_v3_file(path, *, legacy_chat=(), chat_batches=(), plays=(), snapshots=None):
+    """Build a database file with the rows a v3 build writes.
+
+    ``legacy_chat``: ``(video_id, messages)``, one JSON row per message
+    from seq 0.  ``chat_batches``: ``(video_id, first_seq, messages,
+    as_text)``.  ``plays``: ``(video_id, interaction, after_chat)``, one
+    row each, in rowid order.  ``snapshots``: video id to ``(payload,
+    as_text)``.
+    """
+    snapshots = snapshots or {}
+    video_ids = {row[0] for rows in (legacy_chat, chat_batches, plays) for row in rows}
+    connection = sqlite3.connect(path)
+    connection.executescript(_V3_SCHEMA)
+    with connection:
+        connection.execute(
+            "INSERT INTO meta VALUES (?, '3')", (SQLiteStore.STORAGE_FORMAT_KEY,)
+        )
+        for video_id in sorted(video_ids | set(snapshots)):
+            connection.execute(
+                "INSERT INTO videos VALUES (?, ?)",
+                (video_id, json.dumps(codecs.video_to_dict(_video(video_id)))),
+            )
+        for video_id, messages in legacy_chat:
+            connection.executemany(
+                "INSERT INTO chat_messages VALUES (?, ?, ?)",
+                [
+                    (video_id, seq, json.dumps(codecs.chat_message_to_dict(message)))
+                    for seq, message in enumerate(messages)
+                ],
+            )
+        for video_id, first_seq, messages, as_text in chat_batches:
+            items = [codecs.chat_message_to_dict(message) for message in messages]
+            connection.execute(
+                "INSERT INTO chat_batches VALUES (?, ?, ?, ?)",
+                (
+                    video_id,
+                    first_seq,
+                    len(items),
+                    json.dumps(items) if as_text else wire.encode_frame(items),
+                ),
+            )
+        for video_id, interaction, after_chat in plays:
+            connection.execute(
+                "INSERT INTO interactions (video_id, payload, after_chat) VALUES (?, ?, ?)",
+                (video_id, json.dumps(codecs.interaction_to_dict(interaction)), after_chat),
+            )
+            connection.execute(
+                "INSERT INTO interaction_counts VALUES (?, 1) "
+                "ON CONFLICT(video_id) DO UPDATE SET n = n + 1",
+                (video_id,),
+            )
+        for video_id, (payload, as_text) in snapshots.items():
+            connection.execute(
+                "INSERT INTO session_snapshots VALUES (?, ?)",
+                (video_id, json.dumps(payload) if as_text else wire.encode_frame(payload)),
+            )
+    connection.close()
+
+
+def _dump(path):
+    """The file's schema and rows as SQL text, read on a fresh connection."""
+    connection = sqlite3.connect(path)
+    try:
+        return list(connection.iterdump())
+    finally:
+        connection.close()
+
+
+def _play(timestamp, user="a"):
+    return Interaction(float(timestamp), InteractionKind.PLAY, user)
+
+
 class TestStorageCodec:
-    """The blob row format: binary batches, legacy interop, corruption."""
+    """The batch row format: framed blobs, the v4 conversion, corruption."""
 
     def test_append_chat_writes_one_blob_row_per_batch(self, tmp_path):
         store = SQLiteStore(tmp_path / "blob.db")
@@ -558,86 +736,143 @@ class TestStorageCodec:
         ).fetchall()
         assert [(r[0], r[1]) for r in rows] == [(0, 100), (100, 7)]
         assert all(isinstance(r[2], bytes) for r in rows)
-        assert store._connection.execute(
-            "SELECT COUNT(*) FROM chat_messages"
-        ).fetchone()[0] == 0
+        tables = {
+            row[0]
+            for row in store._connection.execute("SELECT name FROM sqlite_master")
+        }
+        assert not tables & _LEGACY_TABLES
         assert store.get_chat("v1") == batch + batch[:7]
         assert store.count_chat("v1") == 107
         assert store.get_chat_since("v1", 98) == batch[98:] + batch[:7]
         store.close()
 
-    def test_json_storage_codec_writes_text_rows(self, tmp_path):
-        store = SQLiteStore(tmp_path / "jsontext.db", storage_codec="json")
+    def test_log_interactions_writes_one_blob_row_per_batch(self, tmp_path):
+        store = SQLiteStore(tmp_path / "plays.db")
         store.put_video(_video())
-        store.append_chat("v1", [ChatMessage(1.0, "a", "x")])
-        store.put_session_snapshot("v1", {"version": 1})
-        payloads = [
-            store._connection.execute("SELECT payload FROM chat_batches").fetchone()[0],
-            store._connection.execute("SELECT payload FROM session_snapshots").fetchone()[0],
-        ]
-        assert all(isinstance(p, str) for p in payloads)
-        assert store.get_chat("v1") == [ChatMessage(1.0, "a", "x")]
-        assert store.get_session_snapshot("v1") == {"version": 1}
+        plays = [_play(i, f"u{i % 3}") for i in range(40)]
+        assert store.log_interactions("v1", plays, after_chat=3) == 40
+        assert store.log_interactions("v1", [], after_chat=4) == 40
+        assert store.log_interactions("v1", plays[:5]) == 45
+        rows = store._connection.execute(
+            "SELECT first_seq, n, after_chat, payload FROM play_batches ORDER BY first_seq"
+        ).fetchall()
+        assert [row[:3] for row in rows] == [(0, 40, 3), (40, 5, None)]
+        assert all(isinstance(row[3], bytes) for row in rows)
+        assert store.get_interactions_since("v1", 38) == plays[38:] + plays[:5]
         store.close()
 
-    def test_binary_and_json_codecs_read_back_identically(self, tmp_path):
-        batch = [ChatMessage(float(i) + 0.5, f"user{i}", f"text {i} Pog") for i in range(50)]
-        snapshot = {"version": 3, "windows": [{"start": 1.5, "counts": [1, 2, 3]}]}
-        results = {}
-        for codec in ("json", "binary"):
-            store = SQLiteStore(tmp_path / f"{codec}.db", storage_codec=codec)
-            store.put_video(_video())
-            store.append_chat("v1", batch)
-            store.put_session_snapshot("v1", snapshot)
-            results[codec] = (store.get_chat("v1"), store.get_session_snapshot("v1"))
-            store.close()
-        assert results["json"] == results["binary"]
-
     def test_legacy_text_rows_interoperate_with_blob_batches(self, tmp_path):
-        # A database written by a pre-codec version holds per-message text
-        # rows; new appends must continue its seq space and reads must merge.
-        import json as jsonlib
-
-        from repro.platform import codecs as plat_codecs
-
-        path = tmp_path / "legacy.db"
-        store = SQLiteStore(path)
-        store.put_video(_video())
+        # A v3 file can hold every older row shape at once: per-message chat
+        # rows continued by JSON-text and blob batches, and per-row plays
+        # with mixed stamps.  The first open converts them to v4 batch rows
+        # that read back exactly as a v3 build read the old rows.
+        path = tmp_path / "v3.db"
         legacy = [ChatMessage(float(i), "old", f"legacy {i}") for i in range(5)]
-        with store._connection:
-            store._connection.executemany(
-                "INSERT INTO chat_messages (video_id, seq, payload) VALUES (?, ?, ?)",
-                [
-                    (
-                        "v1",
-                        seq,
-                        jsonlib.dumps(plat_codecs.chat_message_to_dict(message)),
-                    )
-                    for seq, message in enumerate(legacy)
-                ],
-            )
-        fresh = [ChatMessage(10.0 + i, "new", f"fresh {i}") for i in range(3)]
-        assert store.append_chat("v1", fresh) == 8
-        assert store.get_chat("v1") == legacy + fresh
+        text_batch = [ChatMessage(5.0 + i, "mid", f"text {i}") for i in range(2)]
+        blob_batch = [ChatMessage(7.0, "new", "blob")]
+        other_chat = [ChatMessage(1.5, "w", "other")]
+        # v1 logged [p0] unstamped, [p1, p2] and [p3] at 2, an empty batch at
+        # 4 and [p4] at 5; v2's plays interleave with them in rowid order.
+        plays = [
+            ("v1", _play(0), None),
+            ("v2", _play(0, "b"), 3),
+            ("v1", _play(1), 2),
+            ("v1", _play(2), 2),
+            ("v2", _play(1, "b"), 3),
+            ("v1", _play(3), 2),
+            ("v1", _play(4), 5),
+        ]
+        v1_plays = [interaction for video_id, interaction, _ in plays if video_id == "v1"]
+        _write_v3_file(
+            path,
+            legacy_chat=[("v1", legacy), ("v2", other_chat)],
+            chat_batches=[("v1", 5, text_batch, True), ("v1", 7, blob_batch, False)],
+            plays=plays,
+        )
+        SQLiteStore(path).close()
+        converted = _dump(path)
+        store = SQLiteStore(path)
+        assert _dump(path) == converted  # a reopen converts nothing again
+
+        tables = {row[0] for row in store._connection.execute("SELECT name FROM sqlite_master")}
+        assert not tables & _LEGACY_TABLES
+        assert store.get_meta(SQLiteStore.STORAGE_FORMAT_KEY) == "4"
+        payload_types = store._connection.execute(
+            "SELECT typeof(payload) FROM chat_batches UNION SELECT typeof(payload) "
+            "FROM play_batches"
+        ).fetchall()
+        assert payload_types == [("blob",)]
+
+        assert store.get_chat("v1") == legacy + text_batch + blob_batch
+        assert store.get_chat("v2") == other_chat
         assert store.count_chat("v1") == 8
-        assert store.get_chat_since("v1", 4) == legacy[4:] + fresh
-        assert store.has_chat("v1")
-        assert store.stats()["chat_messages"] == 8
-        assert store.stats()["videos_with_chat"] == 1
+        assert store.get_chat_since("v1", 4) == legacy[4:] + text_batch + blob_batch
+        assert store.has_chat("v1") and store.has_chat("v2")
+        assert store.get_interactions("v1") == v1_plays
+        assert store.count_interactions("v1") == 5
+        assert store.get_interactions_since("v1", 2) == v1_plays[2:]
+        assert store.get_interaction_stamps_since("v1", 0) == [(None, 1), (2, 3), (5, 1)]
+        assert store.get_interaction_stamps_since("v1", 2) == [(2, 2), (5, 1)]
+        assert store.get_interaction_stamps_since("v2", 0) == [(3, 2)]
+        stats = store.stats()
+        assert (stats["chat_messages"], stats["videos_with_chat"], stats["interactions"]) == (
+            9,
+            2,
+            7,
+        )
+        # New batches continue both seq spaces.
+        fresh = [ChatMessage(10.0 + i, "new", f"fresh {i}") for i in range(3)]
+        assert store.append_chat("v1", fresh) == 11
+        assert store.get_chat_since("v1", 7) == blob_batch + fresh
+        assert store.log_interactions("v1", [_play(9)], after_chat=11) == 6
+        assert store.get_interaction_stamps_since("v1", 4) == [(5, 1), (11, 1)]
         store.close()
 
     def test_legacy_json_snapshot_reads_back(self, tmp_path):
-        import json as jsonlib
+        path = tmp_path / "legacysnap.db"
+        snapshot = {"version": 1, "chat_persisted": 7, "rate": 0.5}
+        _write_v3_file(
+            path, snapshots={"v1": (snapshot, True), "v2": ({"version": 1}, False)}
+        )
+        store = SQLiteStore(path)
+        assert store.get_session_snapshot("v1") == snapshot
+        assert store.get_session_snapshots() == {"v1": snapshot, "v2": {"version": 1}}
+        assert store._connection.execute(
+            "SELECT DISTINCT typeof(payload) FROM session_snapshots"
+        ).fetchall() == [("blob",)]
+        store.close()
 
-        store = SQLiteStore(tmp_path / "legacysnap.db")
-        store.put_video(_video())
-        with store._connection:
-            store._connection.execute(
-                "INSERT INTO session_snapshots (video_id, payload) VALUES (?, ?)",
-                ("v1", jsonlib.dumps({"version": 1, "chat_persisted": 7})),
+    def test_failed_conversion_leaves_a_readable_v3_file(self, tmp_path):
+        path = tmp_path / "corrupt-v3.db"
+        legacy = [ChatMessage(float(i), "old", f"legacy {i}") for i in range(3)]
+        _write_v3_file(
+            path,
+            legacy_chat=[("v1", legacy)],
+            chat_batches=[("v1", 3, legacy[:1], True)],
+            plays=[("v1", _play(0), None), ("v1", _play(1), 2)],
+            snapshots={"v1": ({"version": 1}, True)},
+        )
+        connection = sqlite3.connect(path)
+        with connection:  # chat converts first; the second play row fails
+            connection.execute("UPDATE interactions SET payload = '{not json' WHERE rowid = 2")
+        before = list(connection.iterdump())
+        connection.close()
+        with pytest.raises(ValueError):
+            SQLiteStore(path)
+        assert _dump(path) == before
+        assert any("'storage_format_version','3'" in line for line in before)
+
+        # Mended, the same file converts.
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                "UPDATE interactions SET payload = ? WHERE rowid = 2",
+                (json.dumps(codecs.interaction_to_dict(_play(1))),),
             )
-        assert store.get_session_snapshot("v1") == {"version": 1, "chat_persisted": 7}
-        assert store.get_session_snapshots()["v1"]["chat_persisted"] == 7
+        connection.close()
+        store = SQLiteStore(path)
+        assert store.get_chat("v1") == legacy + legacy[:1]
+        assert store.get_interaction_stamps_since("v1", 0) == [(None, 1), (2, 1)]
         store.close()
 
     def test_corrupt_blob_raises_typed_error_not_garbage(self, tmp_path):
@@ -673,14 +908,13 @@ class TestStorageCodec:
         store.close()
 
     def test_snapshot_rejects_non_finite_on_both_codecs(self, tmp_path):
-        for codec in ("json", "binary"):
-            store = SQLiteStore(tmp_path / f"nan-{codec}.db", storage_codec=codec)
-            store.put_video(_video())
-            with pytest.raises(ValueError):
-                store.put_session_snapshot("v1", {"x": float("nan")})
-            # The rejected write stored nothing.
-            assert store.get_session_snapshot("v1") is None
-            store.close()
+        store = SQLiteStore(tmp_path / "nan.db")
+        store.put_video(_video())
+        with pytest.raises(ValueError):
+            store.put_session_snapshot("v1", {"x": float("nan")})
+        # The rejected write stored nothing.
+        assert store.get_session_snapshot("v1") is None
+        store.close()
 
     def test_storage_format_version_stamped(self, tmp_path):
         store = SQLiteStore(tmp_path / "meta.db")
@@ -688,7 +922,3 @@ class TestStorageCodec:
             SQLiteStore.STORAGE_FORMAT_VERSION
         )
         store.close()
-
-    def test_unknown_storage_codec_rejected(self):
-        with pytest.raises(ValidationError, match="unknown storage codec"):
-            SQLiteStore(storage_codec="pickle")

@@ -35,9 +35,9 @@ from hypothesis import strategies as st
 from repro.core.types import ChatMessage, Interaction, InteractionKind, RedDot, Video
 from repro.loadgen import KILL, LoadGenerator, LoadWorkload, WorkloadSpec, reshard_to, run_load
 from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
+from repro.platform import wire
 from repro.platform.api import SimulatedStreamingAPI
 from repro.platform.backends import InMemoryStore, SQLiteStore
-from repro.platform.backends.sqlite import _SCHEMA as SQLITE_SCHEMA
 from repro.platform.crawler import ChatCrawler
 from repro.platform.recovery import SNAPSHOT_VERSION
 from repro.platform.service import LightorWebService
@@ -679,12 +679,59 @@ class TestFaultSchedule:
         assert report.ok, report.describe()
 
 
-# The v2 ``interactions`` table: the format before the after_chat stamp.
-_V2_INTERACTIONS_DDL = """
+# Storage format v2, frozen: the DDL of a file written before the
+# ``after_chat`` stamp (v3) and the framed play batches (v4).
+_V2_SCHEMA = """
+CREATE TABLE videos (
+    video_id TEXT PRIMARY KEY,
+    payload  TEXT NOT NULL
+);
+CREATE TABLE chat_messages (
+    video_id TEXT NOT NULL,
+    seq      INTEGER NOT NULL,
+    payload  TEXT NOT NULL,
+    PRIMARY KEY (video_id, seq)
+);
+CREATE TABLE chat_batches (
+    video_id  TEXT NOT NULL,
+    first_seq INTEGER NOT NULL,
+    n         INTEGER NOT NULL,
+    payload   BLOB NOT NULL,
+    PRIMARY KEY (video_id, first_seq)
+);
 CREATE TABLE interactions (
     rowid    INTEGER PRIMARY KEY AUTOINCREMENT,
     video_id TEXT NOT NULL,
     payload  TEXT NOT NULL
+);
+CREATE INDEX idx_interactions_video ON interactions (video_id);
+CREATE TABLE interaction_counts (
+    video_id TEXT PRIMARY KEY,
+    n        INTEGER NOT NULL
+);
+CREATE TABLE red_dots (
+    video_id TEXT NOT NULL,
+    seq      INTEGER NOT NULL,
+    payload  TEXT NOT NULL,
+    PRIMARY KEY (video_id, seq)
+);
+CREATE TABLE red_dot_sets (
+    video_id TEXT PRIMARY KEY,
+    n        INTEGER NOT NULL
+);
+CREATE TABLE highlight_records (
+    video_id TEXT NOT NULL,
+    version  INTEGER NOT NULL,
+    payload  TEXT NOT NULL,
+    PRIMARY KEY (video_id, version)
+);
+CREATE TABLE session_snapshots (
+    video_id TEXT PRIMARY KEY,
+    payload  TEXT NOT NULL
+);
+CREATE TABLE meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
 );
 """
 
@@ -698,35 +745,42 @@ class TestStorageFormatUpgrade:
         drive = TestCrashRecovery._drive
         # A run as a v2 build leaves it: plays in the prefix, and a suffix
         # past the last checkpoint that is homogeneous in kind (chat only).
-        service = _service(SQLiteStore(tmp_path / "v3.db"), fitted_initializer, 10_000)
+        service = _service(SQLiteStore(tmp_path / "current.db"), fitted_initializer, 10_000)
         service.start_live(video)
         drive(service, video, messages, 0, 600)
         service.checkpoint_live_session(video.video_id)
         drive(service, video, messages, 600, 760)
         service.store.close()  # crash
 
-        # Rebuild that file with the v2 interactions DDL (no stamp column);
-        # every other table is unchanged since v2.
+        # Rebuild that file with the v2 DDL: the same chat batches,
+        # snapshots and derived rows, but one unstamped JSON row per play.
         legacy = tmp_path / "v2.db"
         connection = sqlite3.connect(legacy)
-        connection.executescript(_V2_INTERACTIONS_DDL)
-        connection.executescript(SQLITE_SCHEMA)
-        connection.execute("ATTACH DATABASE ? AS v3", (str(tmp_path / "v3.db"),))
-        tables = [
-            row[0]
-            for row in connection.execute(
-                "SELECT name FROM v3.sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%'"
-            )
-        ]
-        for table in tables:
-            if table == "interactions":
+        connection.executescript(_V2_SCHEMA)
+        connection.execute("ATTACH DATABASE ? AS current", (str(tmp_path / "current.db"),))
+        for table in (
+            "videos",
+            "chat_batches",
+            "red_dots",
+            "red_dot_sets",
+            "highlight_records",
+            "session_snapshots",
+            "meta",
+        ):
+            connection.execute(f"INSERT INTO {table} SELECT * FROM current.{table}")
+        batches = connection.execute(
+            "SELECT video_id, payload FROM current.play_batches ORDER BY video_id, first_seq"
+        ).fetchall()
+        for video_id, payload in batches:
+            for item in wire.decode_frame(payload):
                 connection.execute(
-                    "INSERT INTO interactions (rowid, video_id, payload) "
-                    "SELECT rowid, video_id, payload FROM v3.interactions"
+                    "INSERT INTO interactions (video_id, payload) VALUES (?, ?)",
+                    (video_id, json.dumps(item)),
                 )
-            else:
-                connection.execute(f"INSERT INTO {table} SELECT * FROM v3.{table}")
+        connection.execute(
+            "INSERT INTO interaction_counts SELECT video_id, COUNT(*) FROM interactions "
+            "GROUP BY video_id"
+        )
         connection.execute(
             "UPDATE meta SET value = '2' WHERE key = ?", (SQLiteStore.STORAGE_FORMAT_KEY,)
         )
@@ -735,10 +789,12 @@ class TestStorageFormatUpgrade:
 
         store = SQLiteStore(legacy)
         reader = sqlite3.connect(legacy)
-        columns = {row[1] for row in reader.execute("PRAGMA table_info(interactions)")}
+        tables = {row[0] for row in reader.execute("SELECT name FROM sqlite_master")}
         reader.close()
-        assert "after_chat" in columns
-        assert store.get_meta(SQLiteStore.STORAGE_FORMAT_KEY) == "3"
+        assert "interactions" not in tables and "play_batches" in tables
+        assert store.get_meta(SQLiteStore.STORAGE_FORMAT_KEY) == (
+            SQLiteStore.STORAGE_FORMAT_VERSION
+        )
         assert store.get_interaction_stamps_since(video.video_id, 0) == [(None, 6)]
 
         survivor = _service(store, fitted_initializer, 10_000)
@@ -755,10 +811,11 @@ class TestStorageFormatUpgrade:
         assert TestCrashRecovery._end_state(reference, video) == upgraded
 
     def test_newer_build_file_is_refused(self, tmp_path):
+        newer = str(int(SQLiteStore.STORAGE_FORMAT_VERSION) + 1)
         store = SQLiteStore(tmp_path / "future.db")
-        store.set_meta(SQLiteStore.STORAGE_FORMAT_KEY, "4")
+        store.set_meta(SQLiteStore.STORAGE_FORMAT_KEY, newer)
         store.close()
-        with pytest.raises(ValidationError, match="storage format v4"):
+        with pytest.raises(ValidationError, match=f"storage format v{newer}"):
             SQLiteStore(tmp_path / "future.db")
 
 
