@@ -17,7 +17,10 @@ regression transfers across videos and games.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +33,8 @@ from repro.utils.validation import ValidationError
 __all__ = [
     "WindowFeatures",
     "RunningWindowFeatures",
+    "PendingWindowFeatures",
+    "bag_similarity",
     "WindowFeatureExtractor",
     "FEATURE_NAMES",
 ]
@@ -68,8 +73,11 @@ class RunningWindowFeatures:
     State kept per window: the message count, the per-message token counts
     (for the length feature) and the token lists of non-blank messages (for
     the similarity feature, whose leave-one-out cosine needs the full
-    bag-of-words of the window and is therefore computed once, when the
-    window is sealed).
+    bag-of-words of the window).  The similarity runs in two steps:
+    :meth:`bag` builds the window's first-seen bag of words and
+    :func:`bag_similarity` builds the matrix and runs the kernel.
+    :meth:`raw` runs both back to back; :meth:`deferred_raw` runs only the
+    first and leaves the kernel to the first read of the value.
     """
 
     message_count: int = 0
@@ -94,8 +102,33 @@ class RunningWindowFeatures:
         return WindowFeatures(
             message_number=float(self.message_count),
             message_length=self._average_length(),
-            message_similarity=self._similarity(),
+            message_similarity=bag_similarity(*self.bag()),
         )
+
+    def deferred_raw(self) -> "WindowFeatures | PendingWindowFeatures":
+        """:meth:`raw`, with the similarity kernel left for the first read.
+
+        A window with fewer than two non-blank messages needs no kernel and
+        comes back complete; any other keeps its bag, packed.
+        """
+        if len(self._token_lists) < 2:
+            return self.raw()
+        return PendingWindowFeatures(
+            float(self.message_count), self._average_length(), *self.bag()
+        )
+
+    def bag(self) -> tuple[list[int], list[int], int]:
+        """The binary bag-of-words of the non-blank messages, as indices.
+
+        Returns the flat column ids (message by message, over the
+        first-seen vocabulary, built in one pass), the per-message token
+        counts and the vocabulary width.
+        """
+        token_lists = self._token_lists
+        vocabulary: dict[str, int] = {}
+        index = vocabulary.setdefault
+        columns = [index(token, len(vocabulary)) for tokens in token_lists for token in tokens]
+        return columns, [len(tokens) for tokens in token_lists], len(vocabulary)
 
     def _average_length(self) -> float:
         if not self._token_counts:
@@ -103,21 +136,61 @@ class RunningWindowFeatures:
         # Sums of small integers are exact, so this equals np.mean bit for bit.
         return sum(self._token_counts) / len(self._token_counts)
 
-    def _similarity(self) -> float:
-        if len(self._token_lists) < 2:
-            return 0.0
-        # Binary bag-of-words over the first-seen vocabulary, built in one
-        # pass and set with one fancy-indexed assignment (setting a cell to
-        # 1.0 is idempotent, so repeated tokens need no care).
-        token_lists = self._token_lists
-        vocabulary: dict[str, int] = {}
-        index = vocabulary.setdefault
-        columns = [index(token, len(vocabulary)) for tokens in token_lists for token in tokens]
-        rows = np.repeat(np.arange(len(token_lists)), [len(tokens) for tokens in token_lists])
-        vectors = np.zeros((len(token_lists), len(vocabulary)))
-        vectors[rows, columns] = 1.0
-        # Fresh, C-contiguous, float, two rows or more: no checks needed.
-        return similarity_kernel(vectors)
+
+def bag_similarity(columns: Sequence[int], counts: Sequence[int], width: int) -> float:
+    """The message similarity of a :meth:`RunningWindowFeatures.bag`.
+
+    Builds the binary bag-of-words matrix with one fancy-indexed assignment
+    (setting a cell to 1.0 is idempotent, so repeated tokens need no care)
+    and runs the leave-one-out kernel on it.
+    """
+    if len(counts) < 2:
+        return 0.0
+    rows = np.repeat(np.arange(len(counts)), counts)
+    vectors = np.zeros((len(counts), width))
+    vectors[rows, columns] = 1.0
+    # Fresh, C-contiguous, float, two rows or more: no checks needed.
+    return similarity_kernel(vectors)
+
+
+class PendingWindowFeatures:
+    """A window's raw triple whose similarity kernel has not run yet.
+
+    Holds the :meth:`RunningWindowFeatures.bag` packed as unsigned
+    integers in one ``bytes`` object, the counts first: two bytes a value
+    while the bag has at most 65,535 tokens (no count or column id exceeds
+    the token total), four past that.  ``message_similarity`` reads NaN
+    until :meth:`resolve` runs the kernel on the same matrix the eager path
+    builds.
+    """
+
+    __slots__ = ("message_number", "message_length", "_rows", "_width", "_code", "_bag")
+    message_similarity = math.nan
+
+    def __init__(
+        self,
+        message_number: float,
+        message_length: float,
+        columns: list[int],
+        counts: list[int],
+        width: int,
+    ) -> None:
+        self.message_number = message_number
+        self.message_length = message_length
+        self._rows = len(counts)
+        self._width = width
+        self._code = "H" if len(columns) <= 0xFFFF else "I"
+        self._bag = struct.pack(f"={len(counts) + len(columns)}{self._code}", *counts, *columns)
+
+    def resolve(self) -> WindowFeatures:
+        """The complete triple: runs the similarity kernel."""
+        packed = np.frombuffer(self._bag, dtype=f"={self._code}")
+        rows = self._rows
+        return WindowFeatures(
+            message_number=self.message_number,
+            message_length=self.message_length,
+            message_similarity=bag_similarity(packed[rows:], packed[:rows], self._width),
+        )
 
 
 class WindowFeatureExtractor:

@@ -346,12 +346,23 @@ class _Decoder:
         return count
 
     def read_strings(self) -> None:
-        for _ in range(self._guard_count(self.u32(), 4)):
-            data = self.take(self.u32())
+        count = self._guard_count(self.u32(), 4)
+        # One loop over local offsets, not a take()/u32() call per entry.
+        raw, pos, size = self.raw, self.pos, len(self.raw)
+        length_at = _U32.unpack_from
+        strings = self.strings
+        for _ in range(count):
+            start = pos + 4
+            if start > size:
+                raise CodecError("frame payload is truncated")
+            pos = start + length_at(raw, pos)[0]
+            if pos > size:
+                raise CodecError("frame payload is truncated")
             try:
-                self.strings.append(data.decode("utf-8"))
+                strings.append(raw[start:pos].decode("utf-8"))
             except UnicodeDecodeError as error:
                 raise CodecError("string table entry is not valid UTF-8") from error
+        self.pos = pos
 
     def string(self) -> str:
         ref = self.u32()
@@ -360,7 +371,11 @@ class _Decoder:
         return self.strings[ref]
 
     def value(self) -> Any:
-        tag = self.take(1)[0]
+        pos = self.pos
+        if pos >= len(self.raw):
+            raise CodecError("frame payload is truncated")
+        tag = self.raw[pos]
+        self.pos = pos + 1
         if tag == _T_NULL:
             return None
         if tag == _T_FALSE:
@@ -406,7 +421,10 @@ class _Decoder:
             elif column_tag == _C_INT:
                 values = list(struct.unpack(f"!{n_rows}q", self.take(8 * n_rows)))
             elif column_tag == _C_STR:
-                values = [self.string() for _ in range(n_rows)]
+                refs = struct.unpack(f"!{n_rows}I", self.take(4 * n_rows))
+                if max(refs) >= len(self.strings):
+                    raise CodecError(f"string reference {max(refs)} is out of table range")
+                values = list(map(self.strings.__getitem__, refs))
             elif column_tag == _C_MIXED:
                 values = [self.value() for _ in range(n_rows)]
             else:

@@ -4,13 +4,22 @@ The batch Initializer re-windows, re-tokenizes and re-featurises the whole
 chat log on every call — O(video) work per request.  The streaming engine
 instead folds each arriving message into the open windows (a constant number
 of them) and *seals* a window once the stream has moved past its end: at
-seal time the window's raw feature triple and chat peak are computed once,
-its messages are dropped, and only a small :class:`WindowSummary` is kept.
+seal time the window's message count, average length and chat peak are
+computed once, its messages are dropped, and only a small
+:class:`WindowSummary` is kept.  The third feature, message similarity,
+needs the window's bag of words; the seal builds that bag (while the
+window's tokens are still cached) and keeps it packed, and the similarity
+kernel runs the first time the value is read — when the window is accepted
+at an evaluation, at :meth:`~IncrementalWindowState.finalize`, at a
+snapshot, or through ``WindowSummary.raw``.  Overlap resolution leaves
+about half the sealed windows of a live stream unread, so those never run
+it.
 
 Scoring (normalise → logistic → top-k) is deferred to evaluation points.
-Each summary is also written once, at seal time, into append-only arrays,
-and the overlap-resolved (accepted) set is kept current incrementally: a
-new seal re-resolves only the windows it can affect.  An evaluation is then
+Each summary is also written once, at seal time, into append-only arrays
+(the similarity column reads NaN until the value is computed), and the
+overlap-resolved (accepted) set is kept current incrementally: a new seal
+re-resolves only the windows it can affect.  An evaluation is then
 O(new windows) of Python plus one vectorised NumPy pass over the accepted
 rows — never O(#messages), and no per-summary Python work over the history.
 
@@ -27,7 +36,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.initializer.features import RunningWindowFeatures, WindowFeatures
+from repro.core.initializer.features import (
+    PendingWindowFeatures,
+    RunningWindowFeatures,
+    WindowFeatures,
+)
 from repro.core.initializer.windows import (
     SlidingWindow,
     StreamingWindowBuilder,
@@ -42,15 +55,52 @@ __all__ = ["WindowSummary", "ScorableWindows", "IncrementalWindowState"]
 _INITIAL_CAPACITY = 64
 
 
-@dataclass(frozen=True)
 class WindowSummary:
-    """Everything the scorer needs from a sealed window, messages dropped."""
+    """Everything the scorer needs from a sealed window, messages dropped.
 
-    start: float
-    end: float
-    message_count: int
-    peak: float
-    raw: WindowFeatures
+    ``raw`` is the window's raw feature triple.  A window the stream seals
+    may hold it as :class:`~repro.core.initializer.features.PendingWindowFeatures`:
+    the similarity kernel runs on the first read of ``raw``, once, and the
+    packed bag of words is released.  Equality and ``repr`` read ``raw``,
+    so a pending summary equals its computed twin.
+    """
+
+    __slots__ = ("start", "end", "message_count", "peak", "_raw")
+
+    def __init__(
+        self,
+        start: float,
+        end: float,
+        message_count: int,
+        peak: float,
+        raw: WindowFeatures | PendingWindowFeatures,
+    ) -> None:
+        self.start = start
+        self.end = end
+        self.message_count = message_count
+        self.peak = peak
+        self._raw = raw
+
+    @property
+    def raw(self) -> WindowFeatures:
+        """The raw feature triple, its similarity computed on first read."""
+        raw = self._raw
+        if type(raw) is PendingWindowFeatures:
+            raw = self._raw = raw.resolve()
+        return raw
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not WindowSummary:
+            return NotImplemented
+        return (self.start, self.end, self.message_count, self.peak, self.raw) == (
+            other.start, other.end, other.message_count, other.peak, other.raw
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"WindowSummary(start={self.start!r}, end={self.end!r}, "
+            f"message_count={self.message_count!r}, peak={self.peak!r}, raw={self.raw!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -182,7 +232,9 @@ class IncrementalWindowState:
                 )
             self._token_cache.clear()
             self.finalized = True
-        return [self._summaries[row] for row in self._accepted_rows().tolist()]
+        rows = self._accepted_rows()
+        self._fill_similarity(rows)
+        return [self._summaries[row] for row in rows.tolist()]
 
     # ------------------------------------------------------------- durability
     def snapshot(self) -> dict:
@@ -202,6 +254,7 @@ class IncrementalWindowState:
         """
         from repro.platform import codecs
 
+        self._fill_similarity(np.arange(len(self._summaries)))
         builder = self._builder
         return {
             "window_size": self.window_size,
@@ -268,6 +321,7 @@ class IncrementalWindowState:
         is one NumPy gather of the accepted rows.
         """
         rows = self._accepted_rows()
+        self._fill_similarity(rows)
         return ScorableWindows(
             raw=self._raw[rows],
             start=self._start[rows],
@@ -304,7 +358,7 @@ class IncrementalWindowState:
             end=window.end,
             message_count=window.message_count,
             peak=window.peak_timestamp(),
-            raw=RunningWindowFeatures.from_tokens(token_lists).raw(),
+            raw=RunningWindowFeatures.from_tokens(token_lists).deferred_raw(),
         )
 
     def _prune_token_cache(self) -> None:
@@ -327,12 +381,19 @@ class IncrementalWindowState:
             self._peak = _grown(self._peak, capacity, first)
             self._accepted = _grown(self._accepted, capacity, first)
         for row, summary in enumerate(sealed, first):
-            raw = summary.raw
+            # A pending similarity reads NaN until _fill_similarity runs it.
+            raw = summary._raw
             self._raw[row] = (raw.message_number, raw.message_length, raw.message_similarity)
             self._start[row] = summary.start
             self._end[row] = summary.end
             self._peak[row] = summary.peak
         self._enforce_cap()
+
+    def _fill_similarity(self, rows: np.ndarray) -> None:
+        """Compute the similarity of each of ``rows`` not yet filled in."""
+        similarity = self._raw[:, 2]
+        for row in rows[np.isnan(similarity[rows])].tolist():
+            similarity[row] = self._summaries[row].raw.message_similarity
 
     def _enforce_cap(self) -> None:
         if self.max_summaries is not None and len(self._summaries) > self.max_summaries:

@@ -7,6 +7,7 @@ session; individual tests treat them as read-only.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import LightorConfig
 from repro.core.initializer.initializer import HighlightInitializer
@@ -14,6 +15,12 @@ from repro.datasets.generate import DatasetSpec, build_dataset
 from repro.datasets.loaders import training_pairs
 from repro.simulation.crowd import CrowdSimulator
 from repro.utils.rng import SeedSequenceFactory
+
+# A longer, derandomized Hypothesis profile for CI: ``pytest
+# --hypothesis-profile=ci-long`` draws ten times the default example count,
+# the same examples on every run.  Tests that set a smaller count for tier-1
+# scale it from the active profile's ``max_examples``, so they scale too.
+settings.register_profile("ci-long", max_examples=1000, derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

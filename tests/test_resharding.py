@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main
-from repro.core.types import VideoChatLog
+from repro.core.types import Video, VideoChatLog
 from repro.loadgen import LoadWorkload, WorkloadSpec, reshard_to, run_load
 from repro.platform import codecs, surface
 from repro.platform.backends import SQLiteStore
@@ -35,6 +35,7 @@ from repro.platform.client import LightorClient
 from repro.platform.cluster import ClusterFrontDoor, RemoteShard
 from repro.platform.placement import PlacementMap, WrongShardError, migrate
 from repro.platform.server import GatewayThread
+from repro.platform.service import LightorWebService
 from repro.platform.sharding import ShardedLightorService, shard_db_path
 from repro.utils.validation import ValidationError
 
@@ -412,6 +413,53 @@ class TestShardMarkers:
         with pytest.raises(ValidationError):
             service.reshard(3)
         service.close()
+
+
+class TestInterruptedReshard:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "ROADMAP item 4: a durable reshard needs a write-ahead intent record "
+            "that a reopen rolls forward or back; today every bulk-phase publish "
+            "stamps the grown n_shards marker while the committed placement row "
+            "still holds the old ring"
+        ),
+    )
+    def test_grow_interrupted_at_the_second_move_reopens(
+        self, fitted_initializer, tmp_path, monkeypatch
+    ):
+        base = tmp_path / "grow.db"
+        service = _sharded(fitted_initializer, 2, backend="sqlite", db_path=base)
+        channels = [f"channel-{index:02d}" for index in range(30)]
+        for video_id in channels:
+            service.register_video(Video(video_id=video_id, duration=600.0))
+        migrate_in = LightorWebService.migrate_in
+        moves: list[str] = []
+
+        def failing_migrate_in(self, bundle, was_live=False):
+            moves.append(bundle["video"]["video_id"])
+            if len(moves) == 2:
+                raise RuntimeError("crash at the second move")
+            return migrate_in(self, bundle, was_live)
+
+        monkeypatch.setattr(LightorWebService, "migrate_in", failing_migrate_in)
+        with pytest.raises(RuntimeError, match="second move"):
+            service.reshard(3)
+        monkeypatch.undo()
+        service.close()
+
+        opened = []
+        for n_shards in (2, 3):
+            try:
+                reopened = _sharded(fitted_initializer, n_shards, backend="sqlite", db_path=base)
+            except ValidationError:
+                continue
+            try:
+                opened.append((n_shards, reopened.list_channels()))
+            finally:
+                reopened.close()
+        assert any(listed == channels for _, listed in opened), opened
 
 
 class TestReshardCLIAndRecovery:

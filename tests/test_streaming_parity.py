@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import json
+import math
 import re
 import statistics
 from pathlib import Path
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LightorConfig
+from repro.core.initializer import features as features_module
 from repro.core.initializer.features import RunningWindowFeatures, WindowFeatureExtractor
 from repro.core.initializer.initializer import HighlightInitializer
 from repro.core.initializer.predictor import FeatureSet
@@ -703,3 +705,139 @@ class TestBoundedRescoreWork:
         assert engine.window_summary_count > 1000
         first, sixth = statistics.median(by_hour[0]), statistics.median(by_hour[5])
         assert sixth <= 2 * first, (first, sixth)
+
+
+# ---------------------------------------------------------------------------
+# Deferred similarity: the kernel runs when a window is first read
+# ---------------------------------------------------------------------------
+
+
+def _counting_kernel(monkeypatch) -> list[int]:
+    """Record the row count of every similarity kernel run."""
+    runs: list[int] = []
+    kernel = features_module.similarity_kernel
+
+    def counting(vectors):
+        runs.append(vectors.shape[0])
+        return kernel(vectors)
+
+    monkeypatch.setattr(features_module, "similarity_kernel", counting)
+    return runs
+
+
+def _read_eagerly(state: IncrementalWindowState) -> None:
+    """Make ``state`` read every window's ``raw`` the moment it seals."""
+    summarise = state._summarise
+
+    def summarise_and_read(window):
+        summary = summarise(window)
+        summary.raw
+        return summary
+
+    state._summarise = summarise_and_read
+
+
+class TestDeferredSimilarity:
+    """The kernel runs once per window read, never for a window left unread."""
+
+    def test_kernel_runs_once_per_eligible_window_read(self, fitted_initializer, monkeypatch):
+        runs = _counting_kernel(monkeypatch)
+        spec = WorkloadSpec(channels=1, viewers=1, duration=3600.0, stretch=True)
+        plan = LoadWorkload.from_spec(spec).plans[0]
+        engine = StreamingInitializer.from_initializer(fitted_initializer)
+        state = engine._state
+        # Window start -> its non-blank messages, from the membership itself.
+        non_blank: dict[float, int] = {}
+        summarise = state._summarise
+
+        def recording_summarise(window):
+            non_blank[window.start] = sum(1 for m in window.messages if tokenize(m.text))
+            return summarise(window)
+
+        state._summarise = recording_summarise
+        read: set[float] = set()
+        scorable, finalize = state.scorable_summaries, state.finalize
+
+        def recording_scorable():
+            windows = scorable()
+            read.update(windows.start.tolist())
+            return windows
+
+        def recording_finalize(duration=None):
+            summaries = finalize(duration)
+            read.update(summary.start for summary in summaries)
+            return summaries
+
+        state.scorable_summaries, state.finalize = recording_scorable, recording_finalize
+        for start in range(0, len(plan.chat), 64):
+            engine.ingest_batch(plan.chat[start : start + 64])
+        engine.finalize(plan.duration)
+
+        eligible = {start for start, count in non_blank.items() if count >= 2}
+        assert len(runs) == len(read & eligible)
+        assert all(rows >= 2 for rows in runs)
+        assert len(runs) < len(eligible)
+        # A snapshot reads every retained window: the rest run now, once each.
+        engine.snapshot()
+        assert len(runs) == len(eligible)
+        engine.snapshot()
+        assert len(runs) == len(eligible)
+
+    # 40 examples under the default profile, ten times that under ci-long.
+    @given(channel=_live_channels(), cap=st.sampled_from([None, 3, 8]))
+    @settings(max_examples=settings().max_examples * 4 // 10, deadline=None)
+    def test_reading_raw_eagerly_or_never_is_identical(self, channel, cap, fitted_initializer):
+        """With and without head drops (small ``max_summaries`` caps)."""
+        engines = [
+            StreamingInitializer.from_initializer(
+                fitted_initializer,
+                config=fitted_initializer.config.with_overrides(window_stride=channel["stride"]),
+                k=channel["k"],
+                policy=channel["policy"],
+                max_window_summaries=cap,
+                video_id="live",
+            )
+            for _ in range(2)
+        ]
+        eager, lazy = engines
+        _read_eagerly(eager._state)
+        for chunk in _chunks(channel["messages"], channel["sizes"]):
+            assert eager.ingest_batch(chunk) == lazy.ingest_batch(chunk)
+            views = [engine._state.scorable_summaries() for engine in engines]
+            assert np.isfinite(views[1].raw).all()
+            for field in ("raw", "start", "end", "peak"):
+                assert getattr(views[0], field).tobytes() == getattr(views[1], field).tobytes()
+        if channel["duration"] > 0:
+            assert eager.finalize(channel["duration"]) == lazy.finalize(channel["duration"])
+            assert np.isfinite(lazy._state.scorable_summaries().raw).all()
+        assert _strict_json(eager.snapshot()) == _strict_json(lazy.snapshot())
+
+    def test_summaries_returned_by_add_batch_compute_on_read(self, monkeypatch):
+        runs = _counting_kernel(monkeypatch)
+        state = IncrementalWindowState(window_size=25.0, stride=12.5)
+        sealed = state.add_batch(
+            [ChatMessage(float(t), f"u{t}", f"gg wp {t % 3}") for t in range(0, 60, 2)]
+        )
+        assert sealed and not runs
+        first = sealed[0].raw
+        assert len(runs) == 1 and sealed[0].raw is first
+        state.snapshot()
+        assert len(runs) == len(sealed)
+        assert [summary.raw for summary in sealed] == [
+            RunningWindowFeatures.from_tokens(
+                [tokenize(f"gg wp {t % 3}") for t in range(0, 60, 2) if s.start <= t < s.end]
+            ).raw()
+            for s in sealed
+        ]
+
+    @pytest.mark.parametrize("tokens_per_message", [3, 40_000])
+    def test_packed_bag_resolves_to_the_eager_triple(self, tokens_per_message):
+        """Narrow (two-byte) and wide (four-byte, past 65,535 tokens) bags."""
+        token_lists = [
+            [f"w{(row * 7 + column) % (tokens_per_message + 5)}" for column in range(tokens_per_message)]
+            for row in range(2)
+        ] + [[], ["gg"]]
+        features = RunningWindowFeatures.from_tokens(token_lists)
+        pending = features.deferred_raw()
+        assert math.isnan(pending.message_similarity)
+        assert pending.resolve() == features.raw()

@@ -189,7 +189,8 @@ def test_routed_verbs_plus_migration_match_a_one_shard_model(fitted_initializer,
     run_state_machine_as_test(
         SurfaceMachine,
         settings=settings(
-            max_examples=30,
+            # 30 sequences under the default profile, ten times that under ci-long.
+            max_examples=settings().max_examples * 3 // 10,
             stateful_step_count=40,
             deadline=None,
             derandomize=True,
