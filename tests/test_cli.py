@@ -470,3 +470,164 @@ class TestRecoverCommand:
 
         assert main(["recover", "--db-path", str(db_path)]) == 0
         assert "no checkpointed live sessions" in capsys.readouterr().out
+
+
+def _flag_table(parser):
+    """``{subcommand: {flag: (dest, default, type, choices, required)}}``."""
+    import argparse
+
+    (subparsers,) = (
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            (action.option_strings[-1] if action.option_strings else action.dest): (
+                action.dest,
+                action.default,
+                getattr(action.type, "__name__", None),
+                None if action.choices is None else tuple(action.choices),
+                action.required,
+            )
+            for action in subparser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        for name, subparser in subparsers.choices.items()
+    }
+
+
+_BACKENDS = ("memory", "sqlite")
+_CODECS = ("json", "binary")
+
+# Every subcommand's flags as the parser declares them: dest, default, type,
+# choices and whether the flag is required.  Scripts, CI steps and the docs
+# call these; a consolidation of the parser must leave every row as is.
+PARSER_CONTRACT = {
+    "list": {},
+    "run": {
+        "experiment": ("experiment", None, None, None, True),
+        "--scale": ("scale", "small", None, ("small", "medium", "paper"), False),
+    },
+    "run-all": {
+        "--scale": ("scale", "small", None, ("small", "medium", "paper"), False),
+    },
+    "demo": {
+        "--k": ("k", 5, "int", None, False),
+        "--seed": ("seed", 2020, "int", None, False),
+    },
+    "stream": {
+        "--channels": ("channels", 2, "int", None, False),
+        "--k": ("k", 5, "int", None, False),
+        "--seed": ("seed", 2020, "int", None, False),
+        "--emit-every-messages": ("emit_every_messages", 50, "int", None, False),
+        "--emit-every-seconds": ("emit_every_seconds", 30.0, "float", None, False),
+        "--quiet": ("quiet", False, None, None, False),
+        "--backend": ("backend", "memory", None, _BACKENDS, False),
+        "--db-path": ("db_path", None, None, None, False),
+        "--shards": ("shards", 1, "int", None, False),
+        "--checkpoint-every": ("checkpoint_every", None, "int", None, False),
+        "--resume": ("resume", False, None, None, False),
+    },
+    "recover": {
+        "--db-path": ("db_path", None, None, None, True),
+        "--shards": ("shards", 1, "int", None, False),
+        "--seed": ("seed", 2020, "int", None, False),
+        "--end": ("end", False, None, None, False),
+    },
+    "serve": {
+        "--host": ("host", "127.0.0.1", None, None, False),
+        "--port": ("port", 8765, "int", None, False),
+        "--shards": ("shards", 1, "int", None, False),
+        "--backend": ("backend", "memory", None, _BACKENDS, False),
+        "--db-path": ("db_path", None, None, None, False),
+        "--checkpoint-every": ("checkpoint_every", None, "int", None, False),
+        "--max-pending": ("max_pending", 64, "int", None, False),
+        "--worker-threads": ("worker_threads", 8, "int", None, False),
+        "--max-pending-per-channel": ("max_pending_per_channel", None, "int", None, False),
+        "--k": ("k", None, "int", None, False),
+        "--max-live-sessions": ("max_live_sessions", 64, "int", None, False),
+        "--seed": ("seed", 2020, "int", None, False),
+        "--wire-codec": ("wire_codec", "json", None, _CODECS, False),
+        "--shard-index": ("shard_index", None, "int", None, False),
+    },
+    "cluster": {
+        "--shards": ("shards", 2, "int", None, False),
+        "--host": ("host", "127.0.0.1", None, None, False),
+        "--base-port": ("base_port", 8765, "int", None, False),
+        "--backend": ("backend", "memory", None, _BACKENDS, False),
+        "--db-path": ("db_path", None, None, None, False),
+        "--seed": ("seed", 2020, "int", None, False),
+        "--k": ("k", None, "int", None, False),
+        "--max-live-sessions": ("max_live_sessions", 64, "int", None, False),
+        "--checkpoint-every": ("checkpoint_every", None, "int", None, False),
+        "--max-pending": ("max_pending", 64, "int", None, False),
+        "--worker-threads": ("worker_threads", 8, "int", None, False),
+        "--max-pending-per-channel": ("max_pending_per_channel", None, "int", None, False),
+        "--boot-timeout": ("boot_timeout", 60.0, "float", None, False),
+        "--wire-codec": ("wire_codec", "json", None, _CODECS, False),
+    },
+    "load": {
+        "--channels": ("channels", 8, "int", None, False),
+        "--viewers": ("viewers", 400, "int", None, False),
+        "--duration": ("duration", 3600.0, "float", None, False),
+        "--shards": ("shards", 2, "int", None, False),
+        "--backend": ("backend", "memory", None, _BACKENDS, False),
+        "--db-path": ("db_path", None, None, None, False),
+        "--batch-size": ("batch_size", 64, "int", None, False),
+        "--workers": ("workers", 4, "int", None, False),
+        "--transport": ("transport", "inproc", None, ("inproc", "http", "cluster"), False),
+        "--wire-codec": ("wire_codec", "json", None, _CODECS, False),
+        "--zipf": ("zipf", 1.0, "float", None, False),
+        "--seed": ("seed", 2020, "int", None, False),
+        "--stretch": ("stretch", False, None, None, False),
+        "--no-oracle": ("no_oracle", False, None, None, False),
+        "--smoke": ("smoke", False, None, None, False),
+        "--kill-after": ("kill_after", None, "int", None, False),
+        "--recover": ("recover", False, None, None, False),
+        "--checkpoint-every": ("checkpoint_every", 256, "int", None, False),
+        "--scenario": ("scenario", None, None, None, False),
+        "--scenario-surge-factor": ("scenario_surge_factor", None, "int", None, False),
+        "--scenario-flood-factor": ("scenario_flood_factor", None, "int", None, False),
+        "--scenario-outage-start": ("scenario_outage_start", None, "float", None, False),
+        "--scenario-outage-length": ("scenario_outage_length", None, "float", None, False),
+        "--record": ("record", None, None, None, False),
+        "--replay": ("replay", None, None, None, False),
+        "--max-pending-per-channel": ("max_pending_per_channel", None, "int", None, False),
+        "--reshard-at": ("reshard_at", None, "int", None, False),
+        "--reshard-to": ("reshard_to", None, "int", None, False),
+    },
+    "reshard": {
+        "--db-path": ("db_path", None, None, None, True),
+        "--shards": ("shards", None, "int", None, True),
+        "--to": ("to", None, "int", None, True),
+        "--seed": ("seed", 2020, "int", None, False),
+    },
+    "lint": {
+        "paths": ("paths", [], None, None, False),
+        "--baseline": ("baseline", None, None, None, False),
+        "--write-baseline": ("write_baseline", None, None, None, False),
+        "--rules": ("rules", False, None, None, False),
+    },
+}
+
+
+class TestParserContract:
+    @pytest.mark.parametrize("command", sorted(PARSER_CONTRACT))
+    def test_subcommand_flags(self, command):
+        assert _flag_table(build_parser())[command] == PARSER_CONTRACT[command]
+
+    def test_no_subcommand_is_undeclared(self):
+        assert set(_flag_table(build_parser())) == set(PARSER_CONTRACT)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover"],
+            ["reshard", "--shards", "2", "--to", "3"],
+            ["reshard", "--db-path", "x.db", "--to", "3"],
+            ["reshard", "--db-path", "x.db", "--shards", "2"],
+        ],
+    )
+    def test_required_flags_are_enforced(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
