@@ -46,6 +46,7 @@ from repro.core.initializer.initializer import HighlightInitializer
 from repro.datasets import DatasetSpec, build_dataset
 from repro.loadgen import LoadWorkload, WorkloadSpec, run_load
 from repro.platform import codecs, wire
+from repro.platform.tier import TierSpec
 
 CHANNELS = int(os.environ.get("LIGHTOR_BENCH_LOAD_CHANNELS", "12"))
 VIEWERS = int(os.environ.get("LIGHTOR_BENCH_LOAD_VIEWERS", "1200"))
@@ -125,12 +126,8 @@ def _save(payload: dict) -> None:
 
 def _run_grid_point(fitted_initializer, workload, n_shards: int, batch_size: int):
     return run_load(
-        workload.spec,
-        fitted_initializer,
-        shards=n_shards,
-        workers=WORKERS,
-        backend="memory",
-        oracle=False,
+        workload.spec, fitted_initializer,
+        tier=TierSpec(shards=n_shards, workers=WORKERS, backend="memory"), oracle=False,
         workload=workload.rebatched(batch_size),
     )
 
@@ -185,13 +182,9 @@ def test_bench_load_scaling(fitted_initializer, workload):
 def test_bench_load_oracle_spot_check(fitted_initializer, workload):
     """The sharded concurrent run must match the sequential oracle exactly."""
     report = run_load(
-        workload.spec,
-        fitted_initializer,
-        shards=SHARD_COUNTS[-1],
-        workers=WORKERS,
-        backend="memory",
-        oracle=True,
-        workload=workload.rebatched(64),
+        workload.spec, fitted_initializer,
+        tier=TierSpec(shards=SHARD_COUNTS[-1], workers=WORKERS, backend="memory"),
+        oracle=True, workload=workload.rebatched(64),
     )
     print()
     print(report.describe())
@@ -226,14 +219,9 @@ def test_bench_cluster_scaling(fitted_initializer, workload):
     throughput: dict[int, float] = {}
     for n_shards in SHARD_COUNTS:
         report = run_load(
-            workload.spec,
-            fitted_initializer,
-            shards=n_shards,
-            workers=WORKERS,
-            backend="memory",
-            oracle=False,
-            workload=workload.rebatched(CLUSTER_BATCH),
-            transport="cluster",
+            workload.spec, fitted_initializer,
+            tier=TierSpec(shards=n_shards, workers=WORKERS, backend="memory", transport="cluster"),
+            oracle=False, workload=workload.rebatched(CLUSTER_BATCH),
         )
         throughput[n_shards] = report.events_per_sec
         grid[str(n_shards)] = report.to_dict()
@@ -384,15 +372,12 @@ def test_bench_codec_wire_throughput(fitted_initializer, workload):
     grid: dict[str, dict] = {}
     for codec in wire.WIRE_CODECS:
         report = run_load(
-            workload.spec,
-            fitted_initializer,
-            shards=SHARD_COUNTS[-1],
-            workers=WORKERS,
-            backend="memory",
-            oracle=False,
-            workload=workload.rebatched(CODEC_BATCH),
-            transport="http",
-            wire_codec=codec,
+            workload.spec, fitted_initializer,
+            tier=TierSpec(
+                shards=SHARD_COUNTS[-1], workers=WORKERS, backend="memory",
+                transport="http", wire_codec=codec,
+            ),
+            oracle=False, workload=workload.rebatched(CODEC_BATCH),
         )
         throughput[codec] = report.events_per_sec
         grid[codec] = report.to_dict()
@@ -461,14 +446,11 @@ def test_bench_reshard_pause(fitted_initializer, workload):
     for transport in ("inproc", "cluster"):
         for old_shards, new_shards in ((2, 3), (3, 2)):
             report = run_load(
-                workload.spec,
-                fitted_initializer,
-                shards=old_shards,
-                workers=WORKERS,
-                backend="memory",
-                transport=transport,
-                workload=rebatched,
-                schedule=[(reshard_after, reshard_to(new_shards))],
+                workload.spec, fitted_initializer,
+                tier=TierSpec(
+                    shards=old_shards, workers=WORKERS, backend="memory", transport=transport
+                ),
+                workload=rebatched, schedule=[(reshard_after, reshard_to(new_shards))],
             )
             (fault,) = report.faults
             key = f"{transport}:{old_shards}->{new_shards}"
@@ -545,14 +527,11 @@ def test_bench_cluster_oracle_spot_check(fitted_initializer, workload):
     """The concurrent multi-process run must match the sequential oracle —
     the same byte-equivalence bar the in-process tier is held to."""
     report = run_load(
-        workload.spec,
-        fitted_initializer,
-        shards=SHARD_COUNTS[-1],
-        workers=WORKERS,
-        backend="memory",
-        oracle=True,
-        workload=workload.rebatched(64),
-        transport="cluster",
+        workload.spec, fitted_initializer,
+        tier=TierSpec(
+            shards=SHARD_COUNTS[-1], workers=WORKERS, backend="memory", transport="cluster"
+        ),
+        oracle=True, workload=workload.rebatched(64),
     )
     print()
     print(report.describe())

@@ -32,6 +32,7 @@ from repro.core.config import LightorConfig
 from repro.core.initializer.initializer import HighlightInitializer
 from repro.datasets import DatasetSpec, build_dataset
 from repro.loadgen import SCENARIOS, WorkloadSpec, run_scenario
+from repro.platform.tier import TierSpec
 
 CHANNELS = int(os.environ.get("LIGHTOR_BENCH_SCENARIO_CHANNELS", "6"))
 VIEWERS = int(os.environ.get("LIGHTOR_BENCH_SCENARIO_VIEWERS", "240"))
@@ -96,7 +97,7 @@ def _save(name: str, payload: dict) -> None:
 def test_bench_scenario_oracles(name, fitted_initializer):
     """Every scenario, inproc: drive it and assert its declared oracle."""
     result = run_scenario(
-        name, SPEC, fitted_initializer, shards=SHARDS, workers=WORKERS
+        name, SPEC, fitted_initializer, tier=TierSpec(shards=SHARDS, workers=WORKERS),
     )
     print()
     print(result.describe())
@@ -121,13 +122,8 @@ def test_bench_scenario_oracles(name, fitted_initializer):
 def test_bench_fairness_under_per_channel_budget(fitted_initializer):
     """The fairness scenario over HTTP at the tightest per-channel budget."""
     result = run_scenario(
-        "fairness",
-        SPEC,
-        fitted_initializer,
-        shards=SHARDS,
-        workers=WORKERS,
-        transport="http",
-        per_channel_pending=1,
+        "fairness", SPEC, fitted_initializer,
+        tier=TierSpec(shards=SHARDS, workers=WORKERS, transport="http", max_pending_per_channel=1),
     )
     print()
     print(result.describe())

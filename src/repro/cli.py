@@ -49,6 +49,85 @@ from repro.utils.logging import configure_logging
 __all__ = ["main", "build_parser"]
 
 
+# The tier flags, declared once: ``dest -> (argparse options, help, what a
+# ``None`` default means)``.  Each subcommand adds the ones it takes with
+# its own defaults (:func:`_tier_flags`); their values build one
+# :class:`~repro.platform.tier.TierSpec`, which refuses bad combinations.
+_TIER_FLAGS = {
+    "shards": (
+        {"type": int},
+        "shard count of the tier: channels are consistent-hashed across this "
+        "many shards (worker processes on a cluster); in-process shards are a "
+        "test topology, not a throughput option, see docs/performance.md",
+        None,
+    ),
+    "backend": (
+        {"choices": ("memory", "sqlite")}, "storage backend behind the service tier", None,
+    ),
+    "db_path": (
+        {},
+        "SQLite database path (sqlite backend); shard K uses base.shardK.db",
+        "in-memory databases",
+    ),
+    "checkpoint_every": (
+        {"type": int},
+        "durable session-checkpoint cadence in persisted events; load applies it "
+        "in chaos mode only",
+        "500 on the sqlite backend, disabled on memory",
+    ),
+    "k": ({"type": int}, "provisional top-k per live channel", "the engine default"),
+    "max_live_sessions": (
+        {"type": int}, "LRU budget of concurrently open live sessions per shard", None,
+    ),
+    "max_pending": (
+        {"type": int},
+        "gateway admission budget (per worker on a cluster): requests in flight "
+        "beyond this are refused with 503 instead of queued",
+        None,
+    ),
+    "worker_threads": (
+        {"type": int}, "service calls a gateway (each worker's, on a cluster) may run at once",
+        None,
+    ),
+    "max_pending_per_channel": (
+        {"type": int},
+        "per-channel gateway admission budget on the wire: one channel's requests "
+        "in flight beyond this are refused with 503 while the rest of the budget "
+        "stays available to other channels",
+        "disabled",
+    ),
+    "transport": (
+        {"choices": ("inproc", "http", "cluster")},
+        "how the drivers reach the tier: direct calls, over the wire through an "
+        "in-process HTTP gateway, or through a supervised fleet of shard worker "
+        "processes",
+        None,
+    ),
+    "wire_codec": (
+        {"choices": ("json", "binary")},
+        "wire codec on http/cluster: what driver clients send, and what a gateway "
+        "answers a client with no Accept preference; fingerprints must match the "
+        "JSON run byte-for-byte",
+        None,
+    ),
+    "workers": ({"type": int}, "driver worker threads", None),
+}
+_REQUIRED = object()
+
+
+def _tier_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Declare the tier flags named in ``defaults``, each with its default
+    on this subcommand (``_REQUIRED`` for a flag that must be given)."""
+    for dest, default in defaults.items():
+        options, text, unset = _TIER_FLAGS[dest]
+        flag = "--" + dest.replace("_", "-")
+        if default is _REQUIRED:
+            parser.add_argument(flag, required=True, help=text, **options)
+        else:
+            shown = unset if default is None else "%(default)s"
+            parser.add_argument(flag, default=default, help=f"{text} (default: {shown})", **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``lightor`` CLI."""
     parser = argparse.ArgumentParser(
@@ -77,13 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
     demo_parser.add_argument("--k", type=int, default=5, help="number of highlights to extract")
     demo_parser.add_argument("--seed", type=int, default=2020, help="dataset seed")
 
+    seed_help = (
+        "dataset seed the serving model is trained from (retrained "
+        "deterministically on every start; default: 2020)"
+    )
+
     stream_parser = subparsers.add_parser(
         "stream", help="run the streaming engine over simulated live channels"
     )
     stream_parser.add_argument(
         "--channels", type=int, default=2, help="number of concurrent live channels"
     )
-    stream_parser.add_argument("--k", type=int, default=5, help="provisional top-k per channel")
     stream_parser.add_argument("--seed", type=int, default=2020, help="dataset seed")
     stream_parser.add_argument(
         "--emit-every-messages", type=int, default=50,
@@ -97,52 +180,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-event output"
     )
     stream_parser.add_argument(
-        "--backend", default="memory", choices=("memory", "sqlite"),
-        help="storage backend behind the service tier (default: memory)",
-    )
-    stream_parser.add_argument(
-        "--db-path", default=None,
-        help="SQLite database path (sqlite backend; one file per shard). "
-        "Omit for an in-memory database.",
-    )
-    stream_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="service workers to consistent-hash the channels across (default: 1)",
-    )
-    stream_parser.add_argument(
-        "--checkpoint-every", type=int, default=None,
-        help="durable session-checkpoint cadence in persisted events "
-        "(default: 500 on the sqlite backend, disabled on memory)",
-    )
-    stream_parser.add_argument(
         "--resume", action="store_true",
         help="rebuild live sessions from the checkpoints a previous killed run "
         "left in the database and continue streaming where it stopped "
         "(requires --backend sqlite --db-path)",
+    )
+    _tier_flags(
+        stream_parser, k=5, backend="memory", db_path=None, shards=1, checkpoint_every=None
     )
 
     recover_parser = subparsers.add_parser(
         "recover",
         help="rebuild live sessions from the durable checkpoints in a database",
     )
-    recover_parser.add_argument(
-        "--db-path", required=True,
-        help="SQLite database path the crashed run was using (one file per shard)",
-    )
-    recover_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="shard count of the crashed deployment (default: 1)",
-    )
-    recover_parser.add_argument(
-        "--seed", type=int, default=2020,
-        help="dataset seed the crashed run trained with (the model is retrained "
-        "deterministically from it; default: 2020)",
-    )
+    recover_parser.add_argument("--seed", type=int, default=2020, help=seed_help)
     recover_parser.add_argument(
         "--end", action="store_true",
         help="finalize every recovered session: persist its final red dots and "
         "delete its checkpoint (default: report and re-checkpoint only)",
     )
+    _tier_flags(recover_parser, db_path=_REQUIRED, shards=1)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -155,72 +212,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8765,
         help="bind port; 0 picks an ephemeral port (default: 8765)",
     )
-    serve_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="service workers to consistent-hash the channels across (default: 1)",
-    )
-    serve_parser.add_argument(
-        "--backend", default="memory", choices=("memory", "sqlite"),
-        help="storage backend behind the service tier (default: memory)",
-    )
-    serve_parser.add_argument(
-        "--db-path", default=None,
-        help="SQLite database path (sqlite backend; one file per shard). "
-        "Omit for an in-memory database.",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-every", type=int, default=None,
-        help="durable session-checkpoint cadence in persisted events "
-        "(default: 500 on the sqlite backend, disabled on memory)",
-    )
-    serve_parser.add_argument(
-        "--max-pending", type=int, default=64,
-        help="admission budget: requests in flight beyond this are refused "
-        "with 503 instead of queued (default: 64)",
-    )
-    serve_parser.add_argument(
-        "--worker-threads", type=int, default=8,
-        help="service calls that may run at once (default: 8)",
-    )
-    serve_parser.add_argument(
-        "--max-pending-per-channel", type=int, default=None,
-        help="per-channel admission budget: one channel's requests in flight "
-        "beyond this are refused with 503 while the rest of the global budget "
-        "stays available to other channels (default: disabled)",
-    )
-    serve_parser.add_argument(
-        "--k", type=int, default=None,
-        help="provisional top-k per live channel (default: the engine default, "
-        "matching in-process runs)",
-    )
-    serve_parser.add_argument(
-        "--max-live-sessions", type=int, default=64,
-        help="LRU budget of concurrently open live sessions per shard (default: 64)",
-    )
-    serve_parser.add_argument(
-        "--seed", type=int, default=2020,
-        help="dataset seed the serving model is trained from (default: 2020)",
-    )
-    serve_parser.add_argument(
-        "--wire-codec", default="json", choices=("json", "binary"),
-        help="response codec for clients that express no Accept preference; "
-        "an explicit Accept header always wins (default: json)",
-    )
+    serve_parser.add_argument("--seed", type=int, default=2020, help=seed_help)
     serve_parser.add_argument(
         "--shard-index", type=int, default=None,
         help="this gateway's shard index in a multi-worker cluster: once the "
         "supervisor pushes a placement map, channels owned elsewhere are "
         "refused with a 409 redirect (default: standalone, no redirects)",
     )
+    serving = dict(
+        backend="memory", db_path=None, checkpoint_every=None, k=None,
+        max_live_sessions=64, max_pending=64, worker_threads=8,
+        max_pending_per_channel=None, wire_codec="json",
+    )
+    _tier_flags(serve_parser, shards=1, **serving)
 
     cluster_parser = subparsers.add_parser(
         "cluster",
         help="run N shard worker processes (one `serve --shards 1` each) "
         "under a supervisor",
-    )
-    cluster_parser.add_argument(
-        "--shards", type=int, default=2,
-        help="shard worker processes to spawn (default: 2)",
     )
     cluster_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
@@ -230,55 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker K binds base-port + K; 0 gives every worker an "
         "ephemeral port (default: 8765)",
     )
-    cluster_parser.add_argument(
-        "--backend", default="memory", choices=("memory", "sqlite"),
-        help="storage backend behind each worker (default: memory)",
-    )
-    cluster_parser.add_argument(
-        "--db-path", default=None,
-        help="base SQLite path (sqlite backend); worker K uses "
-        "base.shardK.db. Omit for in-memory databases.",
-    )
-    cluster_parser.add_argument(
-        "--seed", type=int, default=2020,
-        help="dataset seed every worker trains its serving model from "
-        "(default: 2020)",
-    )
-    cluster_parser.add_argument(
-        "--k", type=int, default=None,
-        help="provisional top-k per live channel (default: the engine default)",
-    )
-    cluster_parser.add_argument(
-        "--max-live-sessions", type=int, default=64,
-        help="LRU budget of concurrently open live sessions per worker "
-        "(default: 64)",
-    )
-    cluster_parser.add_argument(
-        "--checkpoint-every", type=int, default=None,
-        help="durable session-checkpoint cadence in persisted events "
-        "(default: 500 on the sqlite backend, disabled on memory)",
-    )
-    cluster_parser.add_argument(
-        "--max-pending", type=int, default=64,
-        help="per-worker gateway admission budget (default: 64)",
-    )
-    cluster_parser.add_argument(
-        "--worker-threads", type=int, default=8,
-        help="service threads per worker gateway (default: 8)",
-    )
-    cluster_parser.add_argument(
-        "--max-pending-per-channel", type=int, default=None,
-        help="per-channel admission budget of every worker gateway "
-        "(default: disabled)",
-    )
+    cluster_parser.add_argument("--seed", type=int, default=2020, help=seed_help)
     cluster_parser.add_argument(
         "--boot-timeout", type=float, default=60.0,
         help="seconds the whole cluster gets to become healthy (default: 60)",
     )
-    cluster_parser.add_argument(
-        "--wire-codec", default="json", choices=("json", "binary"),
-        help="default response codec of every worker gateway (default: json)",
-    )
+    _tier_flags(cluster_parser, shards=2, **serving)
 
     load_parser = subparsers.add_parser(
         "load",
@@ -296,35 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-channel stream length cap in seconds (default: 3600)",
     )
     load_parser.add_argument(
-        "--shards", type=int, default=2,
-        help="service workers to consistent-hash the channels across (default: 2)",
-    )
-    load_parser.add_argument(
-        "--backend", default="memory", choices=("memory", "sqlite"),
-        help="storage backend behind the service tier (default: memory)",
-    )
-    load_parser.add_argument(
-        "--db-path", default=None,
-        help="SQLite database path (sqlite backend; one file per shard). "
-        "Omit for an in-memory database.",
-    )
-    load_parser.add_argument(
         "--batch-size", type=int, default=64,
         help="events per ingest batch; 1 reproduces per-event traffic (default: 64)",
-    )
-    load_parser.add_argument(
-        "--workers", type=int, default=4, help="driver worker threads (default: 4)"
-    )
-    load_parser.add_argument(
-        "--transport", default="inproc", choices=("inproc", "http", "cluster"),
-        help="how the drivers reach the tier: direct calls, over the wire "
-        "through an in-process HTTP gateway, or through a supervised fleet "
-        "of shard worker processes (default: inproc)",
-    )
-    load_parser.add_argument(
-        "--wire-codec", default="json", choices=("json", "binary"),
-        help="request/response codec on wire transports (http/cluster); "
-        "fingerprints must match the JSON run byte-for-byte (default: json)",
     )
     load_parser.add_argument(
         "--zipf", type=float, default=1.0,
@@ -353,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--recover", action="store_true",
         help="chaos mode: rebuild the killed tier from its checkpoints, finish "
         "the run, and verify byte-equivalence with an uninterrupted run",
-    )
-    load_parser.add_argument(
-        "--checkpoint-every", type=int, default=256,
-        help="durable session-checkpoint cadence in persisted events for the "
-        "chaos mode (default: 256)",
     )
     load_parser.add_argument(
         "--scenario", default=None, metavar="NAME",
@@ -398,11 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "otherwise)",
     )
     load_parser.add_argument(
-        "--max-pending-per-channel", type=int, default=None,
-        help="per-channel gateway admission budget on wire transports "
-        "(http/cluster) — the fairness scenario's subject (default: disabled)",
-    )
-    load_parser.add_argument(
         "--reshard-at", type=int, default=None, metavar="N",
         help="chaos mode: reshard the tier online after N ingest batches "
         "(0 = before the first), while the rest of the pool keeps driving "
@@ -414,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
         "shrink); the finished run must be byte-identical to an undisturbed "
         "run (non-zero exit otherwise)",
     )
+    _tier_flags(
+        load_parser, shards=2, backend="memory", db_path=None, workers=4,
+        transport="inproc", wire_codec="json", checkpoint_every=256,
+        max_pending_per_channel=None,
+    )
 
     reshard_parser = subparsers.add_parser(
         "reshard",
@@ -421,22 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(move channels between shard files)",
     )
     reshard_parser.add_argument(
-        "--db-path", required=True,
-        help="SQLite database path of the deployment (one file per shard)",
-    )
-    reshard_parser.add_argument(
-        "--shards", type=int, required=True,
-        help="current shard count of the deployment",
-    )
-    reshard_parser.add_argument(
         "--to", type=int, required=True,
         help="target shard count (grow or shrink)",
     )
-    reshard_parser.add_argument(
-        "--seed", type=int, default=2020,
-        help="dataset seed the deployment was created with (the model is "
-        "retrained deterministically from it; default: 2020)",
-    )
+    reshard_parser.add_argument("--seed", type=int, default=2020, help=seed_help)
+    _tier_flags(reshard_parser, db_path=_REQUIRED, shards=_REQUIRED)
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -530,89 +453,78 @@ def _command_demo(k: int, seed: int) -> int:
     return 0
 
 
-def _command_stream(
-    channels: int,
-    k: int,
-    seed: int,
-    emit_every_messages: int,
-    emit_every_seconds: float,
-    quiet: bool,
-    backend: str,
-    db_path: str | None,
-    shards: int,
-    checkpoint_every: int | None,
-    resume: bool,
-) -> int:
+def _tier_spec(args, failure: str = "", **fields):
+    """The command's :class:`~repro.platform.tier.TierSpec` from its tier
+    flags plus ``fields``, or ``None`` after printing why it is refused."""
+    from dataclasses import fields as spec_fields
+
+    from repro.platform.tier import TierSpec
+    from repro.utils.validation import ValidationError
+
+    given = {f.name: getattr(args, f.name) for f in spec_fields(TierSpec) if hasattr(args, f.name)}
+    try:
+        return TierSpec(**{**given, **fields})
+    except ValidationError as error:
+        print(f"{failure}{error}", flush=True)
+        return None
+
+
+def _open_tier(spec, model=None, *, seed: int = 2020, **options):
+    """:func:`~repro.platform.tier.open_tier`, or ``None`` after printing
+    why the tier cannot be built."""
+    import sqlite3
+
+    from repro.platform.tier import open_tier
+    from repro.utils.validation import ValidationError
+
+    try:
+        return open_tier(spec, model, seed=seed, **options)
+    except (ValidationError, sqlite3.Error) as error:
+        print(f"cannot build the service tier: {error}", flush=True)
+        return None
+
+
+def _command_stream(args) -> int:
     import time
 
-    from repro import LightorConfig
-    from repro.core.initializer.initializer import HighlightInitializer
     from repro.datasets import DatasetSpec, build_dataset
     from repro.eval.parity import compare_red_dots
-    from repro.platform.sharding import ShardedLightorService
+    from repro.platform.tier import serving_model
     from repro.simulation.chat import interleave_live
     from repro.streaming import DotEmitted, DotRetracted, EmitPolicy
     from repro.utils.validation import ValidationError
 
-    if channels < 1:
+    if args.channels < 1:
         print("--channels must be at least 1", flush=True)
         return 1
-    if k < 1:
-        print("--k must be at least 1", flush=True)
+    # Every channel must stay live until its parity check at the end, so
+    # the LRU bound is sized to the run instead of the default.
+    spec = _tier_spec(args, max_live_sessions=args.channels)
+    if spec is None:
         return 1
-    if shards < 1:
-        print("--shards must be at least 1", flush=True)
-        return 1
-    if db_path is not None and backend != "sqlite":
-        print("--db-path requires --backend sqlite", flush=True)
-        return 1
-    if resume and (backend != "sqlite" or db_path is None):
+    if args.resume and not spec.durable:
         print("--resume requires --backend sqlite --db-path", flush=True)
         return 1
-    if checkpoint_every is not None and checkpoint_every < 1:
-        print("--checkpoint-every must be at least 1", flush=True)
-        return 1
-    if checkpoint_every is None and backend == "sqlite":
-        # Durable backend → crash-safe by default; chat is persisted below
-        # for the same reason (recovery can only replay what the store holds).
-        checkpoint_every = 500
     try:
         policy = EmitPolicy(
-            eval_every_messages=emit_every_messages,
-            eval_every_seconds=emit_every_seconds,
+            eval_every_messages=args.emit_every_messages,
+            eval_every_seconds=args.emit_every_seconds,
         )
     except ValidationError as error:
         print(f"invalid emit policy: {error}", flush=True)
         return 1
 
-    dataset = build_dataset(DatasetSpec.dota2(size=channels + 1, seed=seed))
-    train, targets = dataset[0], dataset[1 : channels + 1]
-
-    initializer = HighlightInitializer(config=LightorConfig())
-    initializer.fit([train.training_pair])
-
-    import sqlite3
-
-    try:
-        service = ShardedLightorService.create(
-            shards,
-            initializer,
-            backend=backend,
-            db_path=db_path,
-            live_k=k,
-            live_policy=policy,
-            checkpoint_every=checkpoint_every,
-            # Every channel must stay live until its parity check at the end,
-            # so the LRU bound is sized to the run instead of the default.
-            max_live_sessions=channels,
-        )
-    except (ValidationError, sqlite3.Error) as error:
-        print(f"cannot build the service tier: {error}", flush=True)
+    dataset = build_dataset(DatasetSpec.dota2(size=args.channels + 1, seed=args.seed))
+    train, targets = dataset[0], dataset[1 : args.channels + 1]
+    initializer = serving_model(args.seed)  # trained on dataset[0]
+    tier = _open_tier(spec, initializer, live_policy=policy)
+    if tier is None:
         return 1
-    where = backend if db_path is None else f"{backend} at {db_path}"
+    service = tier.service
+    where = spec.backend if spec.db_path is None else f"{spec.backend} at {spec.db_path}"
     print(
         f"trained on {train.video.video_id}; serving {len(targets)} live "
-        f"channel(s) across {shards} shard(s) on the {where} backend"
+        f"channel(s) across {spec.shards} shard(s) on the {where} backend"
     )
 
     logs = {t.video.video_id: t.chat_log for t in targets}
@@ -623,13 +535,12 @@ def _command_stream(
     # one storage transaction per chunk, not per message (the provisional
     # emit/retract cadence coalesces to chunk boundaries; the final dots are
     # chunking-independent — see docs/performance.md).
-    persist = backend == "sqlite"
+    persist = spec.backend == "sqlite"
     chunk_size = 64 if persist else 1
-    interrupted = False
 
     def print_events(video_id: str, events) -> None:
         for event in events:
-            if quiet:
+            if args.quiet:
                 continue
             if isinstance(event, DotEmitted):
                 verb, dot = "emit   ", event.dot
@@ -642,140 +553,108 @@ def _command_stream(
                 f"dot @ {dot.position:8.1f}s (score {dot.score:.3f})"
             )
 
-    try:
-        skip_remaining: dict[str, int] = {}
-        if resume:
-            recovered = service.recover_live_sessions()
-            if recovered:
-                for report in recovered:
-                    print(f"  resumed {report.describe()}")
-                skip_remaining = {
-                    report.video_id: report.messages_ingested for report in recovered
-                }
-            else:
-                print("no checkpointed sessions to resume; starting fresh")
-        for target in targets:
-            service.start_live(target.video)
-        n_messages = 0
-        pending: dict[str, list] = {}
-        started = time.perf_counter()
-        for video_id, message in interleave_live(list(logs.values())):
-            if skip_remaining.get(video_id, 0) > 0:
-                skip_remaining[video_id] -= 1
-                continue
-            n_messages += 1
-            buffer = pending.setdefault(video_id, [])
-            buffer.append(message)
-            if len(buffer) >= chunk_size:
+    with tier:
+        try:
+            skip_remaining: dict[str, int] = {}
+            if args.resume:
+                recovered = service.recover_live_sessions()
+                if recovered:
+                    for report in recovered:
+                        print(f"  resumed {report.describe()}")
+                    skip_remaining = {
+                        report.video_id: report.messages_ingested for report in recovered
+                    }
+                else:
+                    print("no checkpointed sessions to resume; starting fresh")
+            for target in targets:
+                service.start_live(target.video)
+            n_messages = 0
+            pending: dict[str, list] = {}
+            started = time.perf_counter()
+            for video_id, message in interleave_live(list(logs.values())):
+                if skip_remaining.get(video_id, 0) > 0:
+                    skip_remaining[video_id] -= 1
+                    continue
+                n_messages += 1
+                buffer = pending.setdefault(video_id, [])
+                buffer.append(message)
+                if len(buffer) >= chunk_size:
+                    print_events(
+                        video_id,
+                        service.ingest_chat_batch(video_id, pending.pop(video_id), persist=persist),
+                    )
+            for video_id, buffer in sorted(pending.items()):
                 print_events(
-                    video_id,
-                    service.ingest_chat_batch(video_id, pending.pop(video_id), persist=persist),
+                    video_id, service.ingest_chat_batch(video_id, buffer, persist=persist)
                 )
-        for video_id, buffer in sorted(pending.items()):
-            print_events(
-                video_id, service.ingest_chat_batch(video_id, buffer, persist=persist)
-            )
-        elapsed = time.perf_counter() - started
-        rate = n_messages / elapsed if elapsed > 0 else float("inf")
-        print(f"ingested {n_messages} messages across {len(targets)} channel(s) "
-              f"in {elapsed:.2f}s ({rate:,.0f} msg/s)")
+            elapsed = time.perf_counter() - started
+            rate = n_messages / elapsed if elapsed > 0 else float("inf")
+            print(f"ingested {n_messages} messages across {len(targets)} channel(s) "
+                  f"in {elapsed:.2f}s ({rate:,.0f} msg/s)")
 
-        exit_code = 0
-        for video_id, chat_log in logs.items():
-            streamed = service.end_live(video_id, chat_log.video.duration)
-            batch = initializer.propose(chat_log, k=k)
-            report = compare_red_dots(batch, streamed)
-            shard = service.shard_index(video_id)
-            persisted = len(service.get_red_dots(video_id))
+            exit_code = 0
+            for video_id, chat_log in logs.items():
+                streamed = service.end_live(video_id, chat_log.video.duration)
+                batch = initializer.propose(chat_log, k=args.k)
+                report = compare_red_dots(batch, streamed)
+                shard = service.shard_index(video_id)
+                persisted = len(service.get_red_dots(video_id))
+                print(
+                    f"{video_id} [shard {shard}]: {len(streamed)} final dots "
+                    f"({persisted} persisted); batch {report.describe()}"
+                )
+                if not report.ok or persisted != len(streamed):
+                    exit_code = 1
+            stats = service.stats()
             print(
-                f"{video_id} [shard {shard}]: {len(streamed)} final dots "
-                f"({persisted} persisted); batch {report.describe()}"
+                f"store totals: {stats['videos']} videos, {stats['red_dots']} red dots, "
+                f"{stats['highlight_records']} highlight records"
             )
-            if not report.ok or persisted != len(streamed):
-                exit_code = 1
-        stats = service.stats()
-        print(
-            f"store totals: {stats['videos']} videos, {stats['red_dots']} red dots, "
-            f"{stats['highlight_records']} highlight records"
-        )
-        if db_path is not None:
-            print(f"results persisted durably in: {', '.join(service.db_paths())}")
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        if interrupted and persist and db_path is not None:
+            if spec.db_path is not None:
+                print(f"results persisted durably in: {', '.join(service.db_paths())}")
+        except KeyboardInterrupt:
+            if not spec.durable:
+                return 130
             # Treat the interrupt like a crash: leave every session's durable
-            # checkpoint in place so the run can be continued, and only
-            # release the file handles.
-            for shard in service.shards:
-                shard.store.close()
-        else:
-            service.close()
-    if interrupted:
-        if persist and db_path is not None:
+            # checkpoint in place so the run can be continued.
+            tier.release()
             print(
                 "interrupted — live sessions left checkpointed; continue with "
-                f"the same flags plus --resume (db: {db_path})"
+                f"the same flags plus --resume (db: {spec.db_path})"
             )
-        return 130
+            return 130
     return exit_code
 
 
-def _open_durable_tier(db_path: str, shards: int, seed: int):
-    """The sharded tier over a durable deployment's files, or ``None`` after
-    printing why it cannot be opened.
-
-    Session checkpoints deliberately do not embed the trained model (it is
-    shared, read-only serving state); it is retrained exactly as
-    `stream`/`load` did, deterministically from the seed.
-    """
-    import sqlite3
-
-    from repro import LightorConfig
-    from repro.core.initializer.initializer import HighlightInitializer
-    from repro.datasets import DatasetSpec, build_dataset
-    from repro.platform.sharding import ShardedLightorService
+def _command_recover(args) -> int:
     from repro.utils.validation import ValidationError
 
-    dataset = build_dataset(DatasetSpec.dota2(size=1, seed=seed))
-    initializer = HighlightInitializer(config=LightorConfig())
-    initializer.fit([dataset[0].training_pair])
-    try:
-        return ShardedLightorService.create(
-            shards, initializer, backend="sqlite", db_path=db_path,
-            checkpoint_every=500,
-        )
-    except (ValidationError, sqlite3.Error) as error:
-        print(f"cannot open the service tier: {error}", flush=True)
-        return None
-
-
-def _command_recover(db_path: str, shards: int, seed: int, end: bool) -> int:
-    from repro.utils.validation import ValidationError
-
-    if shards < 1:
-        print("--shards must be at least 1", flush=True)
+    spec = _tier_spec(args, backend="sqlite")
+    tier = spec and _open_tier(spec, seed=args.seed)
+    if tier is None:
         return 1
-    service = _open_durable_tier(db_path, shards, seed)
-    if service is None:
-        return 1
+    service = tier.service
     finalized = False
-    try:
-        # recover_live_sessions raises the LRU budget while it runs, but the
-        # recovered sessions must stay live afterwards for --end to close
-        # them at the stored durations — so size the budget to the fleet.
-        for shard in service.shards:
-            shard.max_live_sessions = max(
-                shard.max_live_sessions, len(shard.store.get_session_snapshots())
-            )
-        recovered = service.recover_live_sessions()
-        if not recovered:
-            print("no checkpointed live sessions found")
-            return 0
-        print(f"recovered {len(recovered)} live session(s):")
-        for report in recovered:
-            print(f"  {report.describe()}")
-        if end:
+    with tier:
+        try:
+            # recover_live_sessions raises the LRU budget while it runs, but
+            # the recovered sessions must stay live afterwards for --end to
+            # close them at the stored durations — so size the budget to the
+            # fleet.
+            for shard in service.shards:
+                shard.max_live_sessions = max(
+                    shard.max_live_sessions, len(shard.store.get_session_snapshots())
+                )
+            recovered = service.recover_live_sessions()
+            if not recovered:
+                print("no checkpointed live sessions found")
+                return 0
+            print(f"recovered {len(recovered)} live session(s):")
+            for report in recovered:
+                print(f"  {report.describe()}")
+            if not args.end:
+                print("sessions re-checkpointed; rerun with --end to finalize them")
+                return 0
             for report in recovered:
                 # Finalize at the stored video duration — the same closing
                 # point a normal end_live uses — so the final window set and
@@ -792,17 +671,12 @@ def _command_recover(db_path: str, shards: int, seed: int, end: bool) -> int:
                 print(f"  {report.video_id}: finalized with {len(dots)} red dot(s)")
             print("checkpoints deleted; final red dots persisted")
             finalized = True
-        else:
-            print("sessions re-checkpointed; rerun with --end to finalize them")
-    finally:
-        if finalized:
-            service.close()
-        else:
-            # Without --end the sessions stay recoverable: release the file
-            # handles only — a full close would finalize every session and
-            # delete the checkpoints we just reported.
-            for shard in service.shards:
-                shard.store.close()
+        finally:
+            if not finalized:
+                # Without --end the sessions stay recoverable: release the
+                # file handles only — a full close would finalize every
+                # session and delete the checkpoints we just reported.
+                tier.release()
     return 0
 
 
@@ -811,22 +685,23 @@ def _command_reshard(args) -> int:
 
     from repro.utils.validation import ValidationError
 
-    if args.shards < 1 or args.to < 1:
-        print("--shards and --to must be at least 1", flush=True)
+    if args.to < 1:
+        print("--to must be at least 1", flush=True)
         return 1
-    service = _open_durable_tier(args.db_path, args.shards, args.seed)
-    if service is None:
+    spec = _tier_spec(args, backend="sqlite")
+    tier = spec and _open_tier(spec, seed=args.seed)
+    if tier is None:
         return 1
-    try:
-        report = service.reshard(args.to)
-    except (ValidationError, sqlite3.Error) as error:
-        print(f"reshard failed: {error}", flush=True)
-        return 1
-    finally:
-        # Release only — no finalize: any checkpointed sessions moved with
-        # their channels and must stay recoverable on the new layout.
-        for shard in service.shards:
-            shard.store.close()
+    with tier:
+        try:
+            report = tier.service.reshard(args.to)
+        except (ValidationError, sqlite3.Error) as error:
+            print(f"reshard failed: {error}", flush=True)
+            return 1
+        finally:
+            # Release only — no finalize: any checkpointed sessions moved with
+            # their channels and must stay recoverable on the new layout.
+            tier.release()
     print(
         f"resharded {report.old_n_shards} -> {report.new_n_shards} shard(s): "
         f"{report.moved} channel(s) moved, placement epoch {report.epoch}"
@@ -840,116 +715,72 @@ def _command_reshard(args) -> int:
 
 def _command_serve(args) -> int:
     import signal
-    import sqlite3
     import threading
 
-    from repro import LightorConfig
-    from repro.core.initializer.initializer import HighlightInitializer
-    from repro.datasets import DatasetSpec, build_dataset
     from repro.platform.server import LightorGateway
-    from repro.platform.sharding import ShardedLightorService
-    from repro.utils.validation import ValidationError
 
-    if args.shards < 1:
-        print("--shards must be at least 1", flush=True)
-        return 1
     if args.port < 0:
         print("--port must be non-negative", flush=True)
-        return 1
-    if args.db_path is not None and args.backend != "sqlite":
-        print("--db-path requires --backend sqlite", flush=True)
-        return 1
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        print("--checkpoint-every must be at least 1", flush=True)
-        return 1
-    if args.max_pending < 1 or args.worker_threads < 1:
-        print("--max-pending and --worker-threads must be at least 1", flush=True)
-        return 1
-    if args.max_pending_per_channel is not None and args.max_pending_per_channel < 1:
-        print("--max-pending-per-channel must be at least 1", flush=True)
         return 1
     if args.shard_index is not None and args.shard_index < 0:
         print("--shard-index must be non-negative", flush=True)
         return 1
-    checkpoint_every = args.checkpoint_every
-    if checkpoint_every is None and args.backend == "sqlite":
-        # Durable backend → crash-safe by default, same rule as `stream`.
-        checkpoint_every = 500
-
-    # The serving model is shared, read-only state; train it exactly as
-    # `stream`/`load`/`recover` do — deterministically from the seed.
-    dataset = build_dataset(DatasetSpec.dota2(size=1, seed=args.seed))
-    initializer = HighlightInitializer(config=LightorConfig())
-    initializer.fit([dataset[0].training_pair])
-
-    try:
-        service = ShardedLightorService.create(
-            args.shards,
-            initializer,
-            backend=args.backend,
-            db_path=args.db_path,
-            live_k=args.k,
-            checkpoint_every=checkpoint_every,
-            max_live_sessions=args.max_live_sessions,
+    spec = _tier_spec(args, transport="http")
+    tier = spec and _open_tier(spec, seed=args.seed)
+    if tier is None:
+        return 1
+    with tier:
+        gateway = LightorGateway(
+            tier.service,
+            host=args.host,
+            port=args.port,
+            max_pending=spec.max_pending,
+            worker_threads=spec.worker_threads,
+            wire_codec=spec.wire_codec,
+            max_pending_per_channel=spec.max_pending_per_channel,
+            shard_index=args.shard_index,
         )
-    except (ValidationError, sqlite3.Error) as error:
-        print(f"cannot build the service tier: {error}", flush=True)
-        return 1
-
-    durable = args.backend == "sqlite" and args.db_path is not None
-    gateway = LightorGateway(
-        service,
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        worker_threads=args.worker_threads,
-        wire_codec=args.wire_codec,
-        max_pending_per_channel=args.max_pending_per_channel,
-        shard_index=args.shard_index,
-    )
-
-    try:
-        gateway.start()
-    except OSError as error:
-        print(f"cannot bind {args.host}:{args.port}: {error}", flush=True)
-        return 1
-    stop = threading.Event()
-    handlers = {
-        signum: signal.signal(signum, lambda *_: stop.set())
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    # Machine-readable readiness line, printed after the bind (so a --port 0
-    # ephemeral port is resolved) and before anything else: the cluster
-    # supervisor and scripted callers parse exactly this.
-    print(f"listening on {gateway.host}:{gateway.port}", flush=True)
-    print(
-        f"serving {args.shards} shard(s) on {gateway.address} "
-        f"({args.backend} backend; SIGTERM drains gracefully)",
-        flush=True,
-    )
-    try:
-        stop.wait()
-    finally:
-        for signum, handler in handlers.items():
-            signal.signal(signum, handler)
-    print("drain requested; finishing in-flight requests ...", flush=True)
-    gateway.drain()
-
-    if durable:
-        # Checkpoint-and-release: the sessions stay recoverable, so the
-        # deployment resumes byte-exactly via `repro recover`.
-        checkpointed = service.suspend()
+        try:
+            gateway.start()
+        except OSError as error:
+            print(f"cannot bind {args.host}:{args.port}: {error}", flush=True)
+            return 1
+        stop = threading.Event()
+        handlers = {
+            signum: signal.signal(signum, lambda *_: stop.set())
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        # Machine-readable readiness line, printed after the bind (so a --port 0
+        # ephemeral port is resolved) and before anything else: the cluster
+        # supervisor and scripted callers parse exactly this.
+        print(f"listening on {gateway.host}:{gateway.port}", flush=True)
         print(
-            f"drained; {checkpointed} live session(s) checkpointed — resume with: "
-            f"repro recover --db-path {args.db_path} --shards {args.shards} "
-            f"--seed {args.seed}",
+            f"serving {spec.shards} shard(s) on {gateway.address} "
+            f"({spec.backend} backend; SIGTERM drains gracefully)",
             flush=True,
         )
-    else:
-        # Nothing durable to resume from: finalize every open session so the
-        # results at least persist through the eviction callbacks.
-        service.close()
-        print("drained; live sessions finalized (memory backend)", flush=True)
+        try:
+            stop.wait()
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        print("drain requested; finishing in-flight requests ...", flush=True)
+        gateway.drain()
+
+        if spec.durable:
+            # Checkpoint-and-release: the sessions stay recoverable, so the
+            # deployment resumes byte-exactly via `repro recover`.
+            checkpointed = tier.release(checkpoint=True)
+            print(
+                f"drained; {checkpointed} live session(s) checkpointed — resume with: "
+                f"repro recover --db-path {args.db_path} --shards {args.shards} "
+                f"--seed {args.seed}",
+                flush=True,
+            )
+            return 0
+    # Nothing durable to resume from: closing the tier finalized every open
+    # session so the results at least persist through the eviction callbacks.
+    print("drained; live sessions finalized (memory backend)", flush=True)
     return 0
 
 
@@ -957,47 +788,28 @@ def _command_cluster(args) -> int:
     import signal
     import threading
 
-    from repro.platform.cluster import ShardClusterSupervisor
+    from repro.platform.tier import open_tier
     from repro.utils.validation import ValidationError
 
-    if args.shards < 1:
-        print("--shards must be at least 1", flush=True)
-        return 1
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        print("--checkpoint-every must be at least 1", flush=True)
+    spec = _tier_spec(args, "invalid cluster: ", transport="cluster")
+    if spec is None:
         return 1
     try:
-        supervisor = ShardClusterSupervisor(
-            args.shards,
-            backend=args.backend,
-            db_path=args.db_path,
-            host=args.host,
-            base_port=args.base_port,
-            seed=args.seed,
-            live_k=args.k,
-            max_live_sessions=args.max_live_sessions,
-            checkpoint_every=args.checkpoint_every,
-            max_pending=args.max_pending,
-            worker_threads=args.worker_threads,
-            max_pending_per_channel=args.max_pending_per_channel,
+        tier = open_tier(
+            spec, seed=args.seed, host=args.host, base_port=args.base_port,
             boot_timeout=args.boot_timeout,
-            wire_codec=args.wire_codec,
         )
-    except ValidationError as error:
-        print(f"invalid cluster: {error}", flush=True)
-        return 1
-    try:
-        supervisor.start()
     except (ValidationError, RuntimeError, OSError) as error:
         print(f"cluster failed to boot: {error}", flush=True)
         return 1
+    supervisor = tier.supervisor
 
     for worker in supervisor.workers:
         # One machine-readable line per worker, mirroring `serve`'s own.
         print(f"shard {worker.index} listening on {worker.host}:{worker.port}", flush=True)
     print(
-        f"cluster up: {args.shards} shard worker(s) "
-        f"({args.backend} backend; SIGTERM stops the fleet gracefully)",
+        f"cluster up: {spec.shards} shard worker(s) "
+        f"({spec.backend} backend; SIGTERM stops the fleet gracefully)",
         flush=True,
     )
 
@@ -1019,16 +831,16 @@ def _command_cluster(args) -> int:
             )
             for index in dead:
                 print(supervisor.workers[index].log_tail(), flush=True)
-            supervisor.stop()
+            tier.close()
             return 1
 
     print("stopping cluster; draining shard workers ...", flush=True)
+    tier.service.close()
     codes = supervisor.stop()
-    if args.backend == "sqlite" and args.db_path is not None:
-        base = str(args.db_path)
+    if spec.durable:
         print(
             "workers drained and checkpointed — resume shard K with: "
-            f"repro recover --db-path <{base} shard-suffixed for K> --shards 1 "
+            f"repro recover --db-path <{spec.db_path} shard-suffixed for K> --shards 1 "
             f"--seed {args.seed}",
             flush=True,
         )
@@ -1064,10 +876,8 @@ def _record_trace(path: str, workload, report) -> None:
 def _command_load(args) -> int:
     import sqlite3
 
-    from repro import LightorConfig
-    from repro.core.initializer.initializer import HighlightInitializer
-    from repro.datasets import DatasetSpec, build_dataset
     from repro.loadgen import KILL, WorkloadSpec, reshard_to, run_load
+    from repro.platform.tier import serving_model
     from repro.utils.validation import ValidationError
 
     if (args.kill_after is not None) != args.recover:
@@ -1078,9 +888,6 @@ def _command_load(args) -> int:
         return 1
     schedule = []
     if args.kill_after is not None:
-        if args.backend != "sqlite" or args.db_path is None:
-            print("chaos mode requires --backend sqlite --db-path", flush=True)
-            return 1
         schedule.append((args.kill_after, KILL))
     if args.reshard_at is not None:
         try:
@@ -1101,20 +908,13 @@ def _command_load(args) -> int:
             flush=True,
         )
         return 1
-    if args.wire_codec != "json" and args.transport == "inproc":
-        print("--wire-codec applies to wire transports only (http/cluster)", flush=True)
+    what = "kill/recover" if args.kill_after is not None else "reshard" if schedule else "load"
+    tier = _tier_spec(
+        args, f"{what} run failed: ",
+        workers=2 if args.smoke else args.workers, kill=args.kill_after is not None,
+    )
+    if tier is None:
         return 1
-    if args.max_pending_per_channel is not None:
-        if args.max_pending_per_channel < 1:
-            print("--max-pending-per-channel must be at least 1", flush=True)
-            return 1
-        if args.transport == "inproc":
-            print(
-                "--max-pending-per-channel applies to wire transports only "
-                "(http/cluster)",
-                flush=True,
-            )
-            return 1
     knob_overrides = {
         name: value
         for name, value in (
@@ -1141,7 +941,6 @@ def _command_load(args) -> int:
         spec_kwargs = dict(
             channels=3, viewers=60, duration=1200.0, batch_size=64, seed=args.seed
         )
-        shards, workers = args.shards, 2
     else:
         spec_kwargs = dict(
             channels=args.channels,
@@ -1152,18 +951,6 @@ def _command_load(args) -> int:
             seed=args.seed,
             stretch=args.stretch,
         )
-        shards, workers = args.shards, args.workers
-    if args.db_path is not None and args.backend != "sqlite":
-        print("--db-path requires --backend sqlite", flush=True)
-        return 1
-
-    def train(seed: int) -> HighlightInitializer:
-        # The serving model is shared, read-only state; train it exactly as
-        # `serve`/`recover` do — deterministically from the seed.
-        dataset = build_dataset(DatasetSpec.dota2(size=1, seed=seed))
-        initializer = HighlightInitializer(config=LightorConfig())
-        initializer.fit([dataset[0].training_pair])
-        return initializer
 
     if args.replay:
         from repro.loadgen.trace import TraceFormatError, read_trace, replay_trace
@@ -1184,16 +971,7 @@ def _command_load(args) -> int:
             # seed — retrain from *that*, so replay fingerprints can match
             # whatever --seed this invocation carries.
             result = replay_trace(
-                trace,
-                train(trace.spec.seed),
-                shards=shards,
-                workers=workers,
-                backend=args.backend,
-                db_path=args.db_path,
-                oracle=not args.no_oracle,
-                transport=args.transport,
-                wire_codec=args.wire_codec,
-                per_channel_pending=args.max_pending_per_channel,
+                trace, serving_model(trace.spec.seed), tier=tier, oracle=not args.no_oracle
             )
         except (ValidationError, sqlite3.Error) as error:
             print(f"replay failed: {error}", flush=True)
@@ -1207,7 +985,7 @@ def _command_load(args) -> int:
         print(f"invalid workload: {error}", flush=True)
         return 1
 
-    initializer = train(args.seed)
+    initializer = serving_model(args.seed)
 
     if args.scenario is not None:
         from repro.loadgen.scenarios import SCENARIOS, run_scenario
@@ -1221,18 +999,8 @@ def _command_load(args) -> int:
             return 1
         try:
             scenario_report = run_scenario(
-                args.scenario,
-                spec,
-                initializer,
-                shards=shards,
-                workers=workers,
-                backend=args.backend,
-                db_path=args.db_path,
-                oracle=not args.no_oracle,
-                transport=args.transport,
-                wire_codec=args.wire_codec,
-                per_channel_pending=args.max_pending_per_channel,
-                knobs=knobs,
+                args.scenario, spec, initializer, tier=tier,
+                oracle=not args.no_oracle, knobs=knobs,
             )
         except (ValidationError, sqlite3.Error) as error:
             print(f"scenario run failed: {error}", flush=True)
@@ -1251,20 +1019,12 @@ def _command_load(args) -> int:
         report = run_load(
             spec,
             initializer,
-            shards=shards,
-            workers=workers,
-            backend=args.backend,
-            db_path=args.db_path,
+            tier=tier,
             oracle=not args.no_oracle,
             workload=workload,
-            transport=args.transport,
-            wire_codec=args.wire_codec,
-            per_channel_pending=args.max_pending_per_channel,
             schedule=schedule,
-            checkpoint_every=args.checkpoint_every,
         )
     except (ValidationError, sqlite3.Error) as error:
-        what = "kill/recover" if args.kill_after is not None else "reshard" if schedule else "load"
         print(f"{what} run failed: {error}", flush=True)
         return 1
     if args.record:
@@ -1355,34 +1115,17 @@ def main(argv: list[str] | None = None) -> int:
         return _command_run_all(args.scale)
     if args.command == "demo":
         return _command_demo(args.k, args.seed)
-    if args.command == "load":
-        return _command_load(args)
-    if args.command == "lint":
-        return _command_lint(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "cluster":
-        return _command_cluster(args)
-    if args.command == "reshard":
-        return _command_reshard(args)
-    if args.command == "recover":
-        return _command_recover(
-            db_path=args.db_path, shards=args.shards, seed=args.seed, end=args.end
-        )
-    if args.command == "stream":
-        return _command_stream(
-            channels=args.channels,
-            k=args.k,
-            seed=args.seed,
-            emit_every_messages=args.emit_every_messages,
-            emit_every_seconds=args.emit_every_seconds,
-            quiet=args.quiet,
-            backend=args.backend,
-            db_path=args.db_path,
-            shards=args.shards,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-        )
+    commands = {
+        "stream": _command_stream,
+        "recover": _command_recover,
+        "reshard": _command_reshard,
+        "serve": _command_serve,
+        "cluster": _command_cluster,
+        "load": _command_load,
+        "lint": _command_lint,
+    }
+    if args.command in commands:
+        return commands[args.command](args)
     parser.print_help()
     return 1
 

@@ -1,8 +1,8 @@
 """The load harness: drive a workload through a service tier and report.
 
 :class:`LoadGenerator` takes a :class:`~repro.loadgen.workload.LoadWorkload`
-and a :class:`~repro.platform.sharding.ShardedLightorService` and replays
-the workload's ingest batches through a worker pool:
+and an open tier (:func:`~repro.platform.tier.open_tier`) and replays the
+workload's ingest batches through a worker pool:
 
 * channels are partitioned across workers (a channel's batches must stay in
   order, so one worker owns a channel for the whole run); different
@@ -21,6 +21,7 @@ because every engine in the stack is deterministic, any run must produce
 *exactly* the oracle's fingerprints — a divergence means a routing,
 locking, batching, migration or recovery bug, and the report lists it.
 
+The tier's :class:`~repro.platform.tier.TierSpec` picks the transport.
 With ``transport="http"`` the same workload is driven **over the wire**: a
 :class:`~repro.platform.server.GatewayThread` serves the tier on a loopback
 port and each worker owns a :class:`~repro.platform.client.LightorClient`.
@@ -52,16 +53,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from threading import Lock, Thread
 
 from repro.core.initializer.initializer import HighlightInitializer
 from repro.loadgen.metrics import LatencyRecorder, StageStats, merge_recorders
 from repro.loadgen.workload import LoadWorkload, WorkBatch
 from repro.platform import codecs
-from repro.platform.backends import is_memory_path
 from repro.platform.placement import ReshardReport
-from repro.platform.sharding import ShardedLightorService, shard_db_path
+from repro.platform.tier import DEFAULT_SEED, TierSpec, open_tier
 from repro.utils.validation import ValidationError, require_positive
 
 __all__ = [
@@ -341,68 +340,34 @@ class LoadGenerator:
         self.workers = workers
 
     # ------------------------------------------------------------------- drive
-    def drive(
-        self,
-        service: ShardedLightorService,
-        transport: str = "inproc",
-        wire_codec: str = "json",
-        per_channel_pending: int | None = None,
-        schedule=(),
-        tier=None,
-        reopen=None,
-    ) -> LoadReport:
-        """Run the workload against ``service``; fingerprint every channel.
+    def drive(self, tier, schedule=()) -> LoadReport:
+        """Run the workload against ``tier``; fingerprint every channel.
 
-        The driven service is fully closed before the method returns; the
-        report's ``divergences`` stay empty (:func:`run_load` judges them
-        against :func:`oracle_fingerprints`).
+        ``tier`` is an open :class:`~repro.platform.tier.Tier` (see
+        :func:`~repro.platform.tier.open_tier`).  It is closed before the
+        method returns; the report's ``divergences`` stay empty
+        (:func:`run_load` judges them against :func:`oracle_fingerprints`).
 
-        ``transport="http"`` serves ``service`` through an in-process
-        :class:`~repro.platform.server.GatewayThread` on a loopback port and
-        gives every worker its own
-        :class:`~repro.platform.client.LightorClient`, so the whole run —
-        opens, ingest batches, closes — crosses a real HTTP boundary while
-        the fingerprints keep reading the backing stores directly.
-
-        ``transport="cluster"`` expects ``service`` to be a
-        :class:`~repro.platform.cluster.ClusterFrontDoor` over an
-        already-running :class:`~repro.platform.cluster.ShardClusterSupervisor`
-        fleet; every worker gets its own clone (one kept-alive connection
-        per shard per worker), and the fingerprints read the shard
-        *processes*' persisted state over the same wire.  The supervisor's
-        lifecycle stays with the caller — closing the front door here only
-        releases its sockets.
-
-        ``wire_codec`` picks the request/response encoding on wire
-        transports (``"json"`` or ``"binary"`` — see
-        :mod:`repro.platform.wire`); the fingerprints are codec-blind, so a
-        binary run must land byte-identical state to a JSON run.  For
-        ``transport="cluster"`` pass the same codec the front door was
-        built with (``run_load`` wires both ends).  Meaningless for
-        ``inproc`` (there is no wire) — anything but ``"json"`` is
-        rejected there.
-
-        ``per_channel_pending`` arms the gateway's per-channel admission
-        budget on ``transport="http"`` (see
-        :class:`~repro.platform.server.LightorGateway`).  The harness keeps
-        at most one request in flight per channel (one worker owns a
-        channel), so any budget ≥ 1 never refuses the drive itself.  On
-        ``cluster`` the budgets belong to the worker gateways, which are
-        configured when the fleet boots (pass it to :func:`run_load`).
+        Each worker calls through its own surface from
+        :meth:`Tier.connect <repro.platform.tier.Tier.connect>`: the service
+        itself (``inproc``), a client of a loopback gateway (``http``) or a
+        front-door clone (``cluster``).  The fingerprints read the backing
+        stores through the tier's front door either way, and are
+        transport- and codec-blind, so every run must land the same bytes.
 
         ``schedule`` is the fault schedule (see the module docstring).
-        Inline actions are called with ``tier`` (default: ``service``; the
-        supervisor on ``cluster``).  A :data:`KILL` needs ``reopen``: called
-        with the crashed tier's shard count, it builds the fresh tier over
-        the same files.
+        Inline actions run on :attr:`Tier.target
+        <repro.platform.tier.Tier.target>`; a :data:`KILL` needs an
+        in-process tier, which it crashes and reopens over the same files.
         """
         try:
-            entries = self._check(transport, wire_codec, per_channel_pending, schedule, reopen)
+            entries = _sorted_schedule(schedule)
+            if not tier.reopenable and any(action == KILL for _, action in entries):
+                raise ValidationError("a scheduled kill needs an in-process tier to reopen")
         except ValidationError:
-            service.close()  # the contract holds on every exit
+            tier.close()  # the contract holds on every exit
             raise
         persist = any(action == KILL for _, action in entries)
-        tier = service if tier is None else tier
         batches = self.workload.batches()
         total = len(batches)
         recorders = [LatencyRecorder() for _ in range(self.workers)]
@@ -410,22 +375,19 @@ class LoadGenerator:
         left = list(enumerate(batches))
         live: set[str] = set()
         done = 0
-        clients, gateway = [], None
-        try:
-            frontends, clients, gateway = self._connect(
-                service, transport, wire_codec, per_channel_pending
-            )
+        with tier:
+            fronts = tier.connect(self.workers)
             # A channel whose events were all filtered out produces no
             # batches; open it up front so the close phase still runs its
             # lifecycle.
-            self._open_idle_channels(frontends[0], batches)
+            self._open_idle_channels(fronts[0], batches)
             wall = 0.0
             while True:
                 kill = next((i for i, (_, action) in enumerate(entries) if action == KILL), None)
                 stop = total if kill is None else min(entries[kill][0], total)
-                inline = _InlineFaults(entries[:kill], tier, done, total)
+                inline = _InlineFaults(entries[:kill], tier.target, done, total)
                 wall += self._drive_segment(
-                    frontends, [batch for index, batch in left if index < stop],
+                    fronts, [batch for index, batch in left if index < stop],
                     recorders, live, inline, persist,
                 )
                 faults.extend(inline.outcomes)
@@ -433,17 +395,11 @@ class LoadGenerator:
                     break
                 entries = entries[kill + 1 :]
                 done = stop
-                # The simulated crash: cut the wire, release the file handles
-                # so a fresh tier can open the databases, finalize nothing.
-                for client in clients:
-                    client.close()
-                if gateway is not None:
-                    gateway.stop(drain=False)
-                clients, gateway = [], None
-                crashed, service = service, None
-                for shard in crashed.shards:
-                    shard.store.close()
-                service = tier = reopen(crashed.n_shards)
+                # The simulated crash: cut the wire, release the file
+                # handles, finalize nothing; then a fresh tier over the
+                # same files rebuilds every open session.
+                old_shards = tier.service.n_shards
+                service = tier.reopen(old_shards)
                 recovered = service.recover_live_sessions()
                 left = _left_after_recovery(batches, recovered)
                 live = {report.video_id for report in recovered}
@@ -451,7 +407,7 @@ class LoadGenerator:
                     FaultOutcome(
                         KILL,
                         stop,
-                        old_shards=crashed.n_shards,
+                        old_shards=old_shards,
                         new_shards=service.n_shards,
                         sessions_recovered=len(recovered),
                         chat_replayed=sum(report.chat_replayed for report in recovered),
@@ -459,18 +415,9 @@ class LoadGenerator:
                         events_redriven=sum(len(batch.events) for _, batch in left),
                     )
                 )
-                frontends, clients, gateway = self._connect(
-                    service, transport, wire_codec, per_channel_pending
-                )
-            outcomes = self._close_channels(frontends[0], service, recorders[0])
-            n_shards = service.n_shards
-        finally:
-            for client in clients:
-                client.close()
-            if gateway is not None:
-                gateway.stop()
-            if service is not None:
-                service.close()
+                fronts = tier.connect(self.workers)
+            outcomes = self._close_channels(fronts[0], tier.service, recorders[0])
+            n_shards = tier.service.n_shards
 
         return LoadReport(
             shards=n_shards,
@@ -481,66 +428,13 @@ class LoadGenerator:
             wall_seconds=wall,
             stages=merge_recorders(recorders),
             outcomes=outcomes,
-            transport=transport,
-            wire_codec=wire_codec,
+            transport=tier.spec.transport,
+            wire_codec=tier.spec.wire_codec,
             total_batches=total,
             faults=tuple(faults),
         )
 
     # ---------------------------------------------------------------- internals
-    def _check(self, transport, wire_codec, per_channel_pending, schedule, reopen) -> list:
-        """Validate the drive's options; return the schedule sorted by count."""
-        from repro.platform import wire
-
-        if transport not in ("inproc", "http", "cluster"):
-            raise ValidationError(
-                f"unknown transport {transport!r} "
-                "(expected 'inproc', 'http' or 'cluster')"
-            )
-        if wire_codec not in wire.WIRE_CODECS:
-            raise ValidationError(
-                f"unknown wire codec {wire_codec!r} (expected one of {wire.WIRE_CODECS})"
-            )
-        if transport == "inproc" and wire_codec != "json":
-            raise ValidationError(
-                "wire_codec applies to wire transports only; "
-                "transport='inproc' has no wire to encode"
-            )
-        if per_channel_pending is not None and transport != "http":
-            raise ValidationError(
-                "per_channel_pending is a gateway admission budget: it applies "
-                "to transport='http' here; cluster worker budgets are set when "
-                "the fleet boots (pass per_channel_pending to run_load)"
-            )
-        if reopen is None and any(action == KILL for _, action in schedule):
-            raise ValidationError("a scheduled kill needs reopen= to rebuild the tier")
-        return _sorted_schedule(schedule)
-
-    def _connect(self, service, transport, wire_codec, per_channel_pending):
-        """Per-worker frontends for ``service``: ``(frontends, clients, gateway)``."""
-        if transport == "inproc":
-            return [service] * self.workers, [], None
-        if transport == "cluster":
-            # One front-door clone per worker: clones share the ring but own
-            # their sockets, exactly like the per-worker clients below.
-            clients = [service.clone() for _ in range(self.workers)]
-            return clients, clients, None
-        from repro.platform.client import LightorClient
-        from repro.platform.server import GatewayThread
-
-        # Every worker keeps one blocking request in flight, so the
-        # admission budget must cover the whole pool — a default-sized
-        # gateway would 503 the drivers past its budget.
-        gateway = GatewayThread(
-            service,
-            max_pending=max(64, self.workers + 2),
-            worker_threads=min(32, max(8, self.workers)),
-            max_pending_per_channel=per_channel_pending,
-        )
-        host, port = gateway.start()
-        clients = [LightorClient(host, port, wire_codec=wire_codec) for _ in range(self.workers)]
-        return clients, clients, gateway
-
     def _drive_segment(self, frontends, batches, recorders, live, inline, persist) -> float:
         """Drive ``batches`` with the pool and join; fire ``inline`` entries.
 
@@ -625,10 +519,7 @@ class LoadGenerator:
             failures.append(error)
 
     def _close_channels(
-        self,
-        frontend,
-        service: ShardedLightorService,
-        recorder: LatencyRecorder,
+        self, frontend, service, recorder: LatencyRecorder
     ) -> dict[str, ChannelOutcome]:
         outcomes: dict[str, ChannelOutcome] = {}
         for plan in sorted(self.workload.plans, key=lambda p: p.video.video_id):
@@ -679,150 +570,58 @@ def oracle_fingerprints(
     wire, resharded, killed and recovered — must reproduce these
     fingerprints byte for byte.
     """
-    service = ShardedLightorService.create(
-        1,
-        initializer,
-        backend="memory",
-        max_live_sessions=max(len(workload.plans), 1),
-        live_k=live_k,
-    )
-    report = LoadGenerator(workload, workers=1).drive(service)
+    tier = TierSpec(workers=1, k=live_k, max_live_sessions=max(len(workload.plans), 1))
+    report = LoadGenerator(workload, workers=1).drive(open_tier(tier, initializer))
     return {video_id: outcome.fingerprint for video_id, outcome in report.outcomes.items()}
-
-
-def _check_killable(transport: str, backend: str, db_path, shards: int, checkpoint_every) -> None:
-    """Refuse a kill the harness cannot recover from, before anything runs."""
-    require_positive(checkpoint_every, "checkpoint_every")
-    if transport == "cluster":
-        raise ValidationError(
-            "a kill over transport='cluster' is not supported: the worker "
-            "processes would have to restart from their files"
-        )
-    if backend != "sqlite" or db_path is None or is_memory_path(db_path):
-        raise ValidationError(
-            "kill/recover needs a file-backed SQLite store (backend='sqlite' "
-            "and a db_path); an in-memory database cannot survive the simulated crash"
-        )
-    for shard_index in range(shards):
-        stale = Path(shard_db_path(db_path, shard_index))
-        if stale.exists():
-            raise ValidationError(
-                f"kill/recover needs fresh database files, but {stale} already "
-                "exists (left by an earlier run?); remove it or pick another --db-path"
-            )
 
 
 def run_load(
     spec,
     initializer: HighlightInitializer,
     *,
-    shards: int = 1,
-    workers: int = 4,
-    backend: str = "memory",
-    db_path=None,
+    tier: TierSpec = TierSpec(),
     oracle: bool = True,
-    live_k: int | None = None,
     workload: LoadWorkload | None = None,
-    transport: str = "inproc",
-    cluster_seed: int = 2020,
-    wire_codec: str = "json",
-    per_channel_pending: int | None = None,
+    cluster_seed: int = DEFAULT_SEED,
     schedule=(),
-    checkpoint_every: int = 256,
 ) -> LoadReport:
-    """Build the workload, the service tier and the harness; run once.
+    """Build the workload, open the tier ``tier`` describes, run once.
 
     This is the one-call entry point the CLI (``repro load``) and the
     benchmarks share.  Pass a pre-built ``workload`` (see
     :meth:`LoadWorkload.rebatched`) to reuse one synthesised fleet across a
-    parameter grid.  The service is created with ``max_live_sessions``
-    covering the whole fleet so LRU eviction cannot interleave with the run
-    (evictions under concurrency are exercised by the orchestrator's own
-    test suite; a load run wants deterministic end-state fingerprints).
-    With ``oracle`` (the default) every channel's fingerprint is compared
-    with :func:`oracle_fingerprints`.
+    parameter grid.  The tier's ``max_live_sessions`` is sized to the whole
+    fleet so LRU eviction cannot interleave with the run (evictions under
+    concurrency are exercised by the orchestrator's own test suite; a load
+    run wants deterministic end-state fingerprints).  With ``oracle`` (the
+    default) every channel's fingerprint is compared with
+    :func:`oracle_fingerprints`.
 
-    ``transport="http"`` drives the identical workload through an
-    in-process HTTP gateway instead of direct calls — the oracle bar does
-    not move: the wire must be byte-exact too.
-
-    ``transport="cluster"`` boots a
-    :class:`~repro.platform.cluster.ShardClusterSupervisor` fleet of
-    ``shards`` worker *processes* for the duration of the run and drives
-    their :class:`~repro.platform.cluster.ClusterFrontDoor`.  Each worker
-    trains its serving model deterministically from ``cluster_seed``; for
-    the oracle to hold, ``initializer`` must be the same deterministic
-    model (the default ``cluster_seed=2020`` matches how ``repro load``
-    builds it).  The fleet is SIGTERM-stopped before the report returns.
-
-    ``per_channel_pending`` arms the per-channel admission budget of the
-    wire gateways (the in-process one on ``http``, every worker gateway on
-    ``cluster``); rejected on ``inproc``, where there is no gateway.
+    Any transport drives the identical workload, and the oracle bar does
+    not move: the wire must be byte-exact too.  On ``cluster`` each worker
+    process trains its serving model deterministically from
+    ``cluster_seed``; for the oracle to hold, ``initializer`` must be the
+    same deterministic model (the default matches how ``repro load`` builds
+    it).  The fleet is SIGTERM-stopped before the report returns.
 
     ``schedule`` is the fault schedule (see the module docstring): inline
     actions such as ``reshard_to(3)`` run on any transport.  A :data:`KILL`
-    needs a file-backed SQLite tier whose per-shard files do not exist yet
-    (a previous run's rows would be driven into and recovered as if this
-    run had written them), checkpoints live sessions every
-    ``checkpoint_every`` persisted events, and is refused on ``cluster``.
+    marks the spec ``kill`` (file-backed SQLite with fresh per-shard files,
+    refused on ``cluster``) and checkpoints live sessions at the spec's
+    cadence; a run without a kill checkpoints nothing.
     """
-    _sorted_schedule(schedule)  # refuse a malformed schedule before a fleet boots
+    schedule = _sorted_schedule(schedule)  # refuse a malformed schedule before a fleet boots
+    kill = any(action == KILL for _, action in schedule)
+    tier = replace(tier, kill=tier.kill or kill, max_live_sessions=max(spec.channels, 1))
     if workload is None:
         workload = LoadWorkload.from_spec(spec)
-    generator = LoadGenerator(workload, workers=workers)
-    cadence = None
-    if any(action == KILL for _, action in schedule):
-        _check_killable(transport, backend, db_path, shards, checkpoint_every)
-        cadence = checkpoint_every
-
-    if transport == "cluster":
-        from repro.platform.cluster import ShardClusterSupervisor
-
-        supervisor = ShardClusterSupervisor(
-            shards,
-            backend=backend,
-            db_path=db_path,
-            seed=cluster_seed,
-            live_k=live_k,
-            max_live_sessions=max(spec.channels, 1),
-            wire_codec=wire_codec,
-            max_pending_per_channel=per_channel_pending,
-        )
-        supervisor.start()
-        try:
-            report = generator.drive(
-                supervisor.front_door(),
-                transport="cluster",
-                wire_codec=wire_codec,
-                schedule=schedule,
-                tier=supervisor,
-            )
-        finally:
-            supervisor.stop()
-    else:
-
-        def build(n_shards: int) -> ShardedLightorService:
-            return ShardedLightorService.create(
-                n_shards,
-                initializer,
-                backend=backend,
-                db_path=db_path,
-                max_live_sessions=max(spec.channels, 1),
-                live_k=live_k,
-                checkpoint_every=cadence,
-            )
-
-        report = generator.drive(
-            build(shards),
-            transport=transport,
-            wire_codec=wire_codec,
-            per_channel_pending=per_channel_pending,
-            schedule=schedule,
-            reopen=build,
-        )
+    generator = LoadGenerator(workload, workers=tier.workers)
+    report = generator.drive(
+        open_tier(tier, initializer, seed=cluster_seed, crash_safe=kill), schedule
+    )
     if not oracle:
         return report
-    expected = oracle_fingerprints(workload, initializer, live_k=live_k)
+    expected = oracle_fingerprints(workload, initializer, live_k=tier.k)
     return replace(
         report,
         oracle_checked=True,

@@ -45,6 +45,7 @@ from repro.loadgen.workload import (
     WorkBatch,
     WorkloadSpec,
 )
+from repro.platform.tier import DEFAULT_SEED, TierSpec
 from repro.simulation.viewers import ViewerBehaviorModel, ViewerPopulation
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import ValidationError
@@ -354,23 +355,18 @@ def run_scenario(
     spec: WorkloadSpec,
     initializer,
     *,
-    shards: int = 1,
-    workers: int = 4,
-    backend: str = "memory",
-    db_path=None,
+    tier: TierSpec = TierSpec(),
     oracle: bool = True,
-    transport: str = "inproc",
-    wire_codec: str = "json",
-    cluster_seed: int = 2020,
-    per_channel_pending: int | None = None,
+    cluster_seed: int = DEFAULT_SEED,
     knobs: ScenarioKnobs | None = None,
 ) -> ScenarioReport:
-    """Build the named scenario's workload, drive it, judge it.
+    """Build the named scenario's workload, drive it on ``tier``, judge it.
 
-    ``per_channel_pending`` arms the gateway's per-channel admission budget
-    on wire transports (the ``fairness`` scenario's subject); the harness
-    gives each channel a single driver worker — at most one request in
-    flight per channel — so any budget ≥ 1 never refuses the drive itself.
+    The tier's ``max_pending_per_channel`` arms the gateway's per-channel
+    admission budget on wire transports (the ``fairness`` scenario's
+    subject); the harness gives each channel a single driver worker — at
+    most one request in flight per channel — so any budget ≥ 1 never
+    refuses the drive itself.
     """
     from repro.loadgen.driver import oracle_fingerprints, run_load
 
@@ -383,16 +379,10 @@ def run_scenario(
     report = run_load(
         spec,
         initializer,
-        shards=shards,
-        workers=workers,
-        backend=backend,
-        db_path=db_path,
+        tier=tier,
         oracle=oracle,
         workload=workload,
-        transport=transport,
-        wire_codec=wire_codec,
         cluster_seed=cluster_seed,
-        per_channel_pending=per_channel_pending,
     )
 
     baseline_divergences: list[str] = []

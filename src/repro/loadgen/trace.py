@@ -50,6 +50,7 @@ from pathlib import Path
 
 from repro.loadgen.workload import ChannelPlan, LoadWorkload, WorkBatch, WorkloadSpec
 from repro.platform import codecs, wire
+from repro.platform.tier import DEFAULT_SEED, TierSpec
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -425,17 +426,11 @@ def replay_trace(
     trace: LoadTrace,
     initializer,
     *,
-    shards: int = 1,
-    workers: int = 4,
-    backend: str = "memory",
-    db_path=None,
+    tier: TierSpec = TierSpec(),
     oracle: bool = True,
-    transport: str = "inproc",
-    wire_codec: str = "json",
-    cluster_seed: int = 2020,
-    per_channel_pending: int | None = None,
+    cluster_seed: int = DEFAULT_SEED,
 ) -> ReplayReport:
-    """Drive a trace's recorded batches and gate on fingerprint equality.
+    """Drive a trace's recorded batches on ``tier``; gate on fingerprint equality.
 
     The replay may use any transport, codec, shard or worker count — the
     recorded fingerprints are transport- and codec-blind, so every
@@ -448,16 +443,10 @@ def replay_trace(
     report = run_load(
         trace.spec,
         initializer,
-        shards=shards,
-        workers=workers,
-        backend=backend,
-        db_path=db_path,
+        tier=tier,
         oracle=oracle,
         workload=trace.workload(),
-        transport=transport,
-        wire_codec=wire_codec,
         cluster_seed=cluster_seed,
-        per_channel_pending=per_channel_pending,
     )
     mismatches = [
         video_id

@@ -188,6 +188,12 @@ class TestLoadCommand:
         assert "killed after 20/49" in out
         assert "byte-identical" in out
 
+    def test_load_refuses_a_bad_checkpoint_cadence_without_a_kill(self, capsys):
+        for cadence in ("0", "-3"):
+            argv = ["load", "--smoke", "--no-oracle", "--checkpoint-every", cadence]
+            assert main(argv) == 1
+            assert "--checkpoint-every must be at least 1" in capsys.readouterr().out
+
     def test_chaos_flags_must_be_used_together(self, capsys):
         assert main(["load", "--kill-after", "5"]) == 1
         assert "--recover" in capsys.readouterr().out
@@ -401,6 +407,15 @@ class TestServeCommand:
         assert main(["serve", "--checkpoint-every", "0"]) == 1
         assert main(["serve", "--max-pending", "0"]) == 1
         assert main(["serve", "--port", "-1"]) == 1
+        assert main(["serve", "--k", "0"]) == 1
+
+    def test_zero_k_is_refused_before_anything_binds(self, capsys):
+        assert main(["serve", "--k", "0", "--port", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "--k must be at least 1" in out and "listening on" not in out
+        assert main(["cluster", "--k", "0", "--base-port", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "--k must be at least 1" in out and "listening on" not in out
 
     def test_serve_unopenable_db_path_fails_cleanly(self, capsys, tmp_path):
         missing = tmp_path / "no_such_dir" / "x.db"

@@ -34,6 +34,7 @@ from repro.platform.backends import SQLiteStore
 from repro.platform.client import LightorClient
 from repro.platform.cluster import ClusterFrontDoor, ShardClusterSupervisor
 from repro.platform.sharding import ShardedLightorService, shard_db_path
+from repro.platform.tier import TierSpec
 from repro.utils.validation import ValidationError
 
 SMALL = WorkloadSpec(channels=3, viewers=45, duration=900.0, batch_size=32, seed=11)
@@ -133,11 +134,12 @@ class TestClusterParity:
         the sequential single-shard oracle."""
         workload = LoadWorkload.from_spec(SMALL)
         inproc = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=workload
+            SMALL, fitted_initializer, tier=TierSpec(shards=2, workers=2),
+            workload=workload,
         )
         cluster = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=workload,
-            transport="cluster",
+            SMALL, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="cluster"), workload=workload,
         )
         assert cluster.transport == "cluster" and cluster.shards == 2
         assert cluster.oracle_checked and cluster.divergences == []
@@ -155,11 +157,13 @@ class TestClusterParity:
         the front door's clients speak binary frames both ways."""
         workload = LoadWorkload.from_spec(SMALL)
         inproc = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=workload
+            SMALL, fitted_initializer, tier=TierSpec(shards=2, workers=2),
+            workload=workload,
         )
         binary = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=workload,
-            transport="cluster", wire_codec="binary",
+            SMALL, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="cluster", wire_codec="binary"),
+            workload=workload,
         )
         assert binary.transport == "cluster" and binary.wire_codec == "binary"
         assert binary.oracle_checked and binary.divergences == []

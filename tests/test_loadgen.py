@@ -19,7 +19,7 @@ from repro.loadgen import (
     zipf_weights,
 )
 from repro.loadgen.metrics import LadderEntry
-from repro.platform.sharding import ShardedLightorService
+from repro.platform.tier import TierSpec, open_tier
 from repro.utils.validation import ValidationError
 
 SMALL = WorkloadSpec(channels=3, viewers=45, duration=900.0, batch_size=32, seed=11)
@@ -127,7 +127,8 @@ class TestBatchChunking:
 class TestDriver:
     def test_run_load_reports_and_oracle_passes(self, fitted_initializer, small_workload):
         report = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=small_workload
+            SMALL, fitted_initializer, tier=TierSpec(shards=2, workers=2),
+            workload=small_workload,
         )
         assert report.total_events == small_workload.total_events
         assert report.oracle_checked
@@ -142,10 +143,10 @@ class TestDriver:
         """Thread scheduling must never leak into the persisted results."""
         fingerprints = []
         for workers in (1, 3):
-            service = ShardedLightorService.create(
-                2, fitted_initializer, max_live_sessions=SMALL.channels
+            tier = open_tier(
+                TierSpec(shards=2, max_live_sessions=SMALL.channels), fitted_initializer
             )
-            report = LoadGenerator(small_workload, workers=workers).drive(service)
+            report = LoadGenerator(small_workload, workers=workers).drive(tier)
             fingerprints.append(
                 {vid: outcome.fingerprint for vid, outcome in report.outcomes.items()}
             )
@@ -153,17 +154,15 @@ class TestDriver:
 
     def test_worker_failure_fails_the_run(self, fitted_initializer, small_workload):
         """A dead worker must not produce a success report over partial traffic."""
-        service = ShardedLightorService.create(
-            1, fitted_initializer, max_live_sessions=SMALL.channels
-        )
+        tier = open_tier(TierSpec(max_live_sessions=SMALL.channels), fitted_initializer)
         boom = RuntimeError("backend went away")
 
         def exploding(video_id, messages, persist=False):
             raise boom
 
-        service.ingest_chat_batch = exploding
+        tier.service.ingest_chat_batch = exploding
         with pytest.raises(RuntimeError, match="backend went away"):
-            LoadGenerator(small_workload, workers=2).drive(service)
+            LoadGenerator(small_workload, workers=2).drive(tier)
 
     def test_channels_without_traffic_still_close(self, fitted_initializer):
         """A channel whose events were all filtered out must still open/close."""
@@ -177,7 +176,8 @@ class TestDriver:
         workload.plans[0] = replace(idle, chat=(), plays=())
         assert workload.plans[0].total_events == 0 and busy.total_events > 0
         report = run_load(
-            workload.spec, fitted_initializer, shards=1, workers=2, workload=workload
+            workload.spec, fitted_initializer, tier=TierSpec(shards=1, workers=2),
+            workload=workload,
         )
         assert report.divergences == []
         assert len(report.outcomes) == 2
@@ -189,11 +189,13 @@ class TestDriver:
         """The tentpole acceptance bar: the same workload driven over the
         wire must persist byte-identical red dots and highlight records."""
         inproc = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=small_workload
+            SMALL, fitted_initializer, tier=TierSpec(shards=2, workers=2),
+            workload=small_workload,
         )
         wire = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=small_workload,
-            transport="http",
+            SMALL, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="http"),
+            workload=small_workload,
         )
         assert wire.transport == "http" and inproc.transport == "inproc"
         assert wire.oracle_checked and wire.divergences == []
@@ -209,12 +211,14 @@ class TestDriver:
         """The codec acceptance bar: switching the wire encoding must not
         change a single persisted byte — fingerprints are the oracle."""
         json_run = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=small_workload,
-            transport="http",
+            SMALL, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="http"),
+            workload=small_workload,
         )
         binary = run_load(
-            SMALL, fitted_initializer, shards=2, workers=2, workload=small_workload,
-            transport="http", wire_codec="binary",
+            SMALL, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="http", wire_codec="binary"),
+            workload=small_workload,
         )
         assert binary.wire_codec == "binary" and json_run.wire_codec == "json"
         assert binary.oracle_checked and binary.divergences == []
@@ -224,40 +228,20 @@ class TestDriver:
         assert "codec binary" in binary.describe()
         assert binary.to_dict()["wire_codec"] == "binary"
 
-    def test_unknown_transport_rejected(self, fitted_initializer, small_workload):
-        service = ShardedLightorService.create(1, fitted_initializer)
-        try:
-            with pytest.raises(ValidationError, match="transport"):
-                LoadGenerator(small_workload, workers=1).drive(
-                    service, transport="telnet"
-                )
-        finally:
-            service.close()
+    def test_unknown_transport_rejected(self):
+        with pytest.raises(ValidationError, match="transport"):
+            TierSpec(transport="telnet")
 
-    def test_wire_codec_rejected_on_inproc_transport(
-        self, fitted_initializer, small_workload
-    ):
-        service = ShardedLightorService.create(1, fitted_initializer)
-        try:
-            with pytest.raises(ValidationError, match="wire"):
-                LoadGenerator(small_workload, workers=1).drive(
-                    service, wire_codec="binary"
-                )
-            with pytest.raises(ValidationError, match="wire codec"):
-                LoadGenerator(small_workload, workers=1).drive(
-                    service, transport="http", wire_codec="msgpack"
-                )
-        finally:
-            service.close()
+    def test_wire_codec_rejected_on_inproc_transport(self):
+        with pytest.raises(ValidationError, match="wire"):
+            TierSpec(wire_codec="binary")
+        with pytest.raises(ValidationError, match="wire codec"):
+            TierSpec(transport="http", wire_codec="msgpack")
 
     def test_sqlite_backend_run(self, fitted_initializer, small_workload, tmp_path):
         report = run_load(
-            SMALL,
-            fitted_initializer,
-            shards=2,
-            workers=2,
-            backend="sqlite",
-            db_path=tmp_path / "load.db",
+            SMALL, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, backend="sqlite", db_path=tmp_path / "load.db"),
             workload=small_workload,
         )
         assert report.divergences == []

@@ -42,6 +42,7 @@ from repro.platform.crawler import ChatCrawler
 from repro.platform.recovery import SNAPSHOT_VERSION
 from repro.platform.service import LightorWebService
 from repro.platform.sharding import ShardedLightorService
+from repro.platform.tier import TierSpec
 from repro.streaming import (
     IncrementalWindowState,
     StreamSession,
@@ -500,17 +501,22 @@ class TestCrashRecovery:
 PLAY_HEAVY = WorkloadSpec(channels=3, viewers=900, duration=1800.0, batch_size=16)
 
 
-def _kill_run(spec, initializer, db_path, schedule, *, shards=2, workers=2, **kwargs):
+def _kill_run(
+    spec, initializer, db_path, schedule, *, shards=2, workers=2, checkpoint_every=256, **kwargs
+):
     """One oracle-checked load run with a fault schedule on a SQLite tier."""
     return run_load(
         spec,
         initializer,
-        shards=shards,
-        workers=workers,
-        backend="sqlite",
-        db_path=db_path,
+        tier=TierSpec(
+            backend="sqlite",
+            db_path=db_path,
+            shards=shards,
+            workers=workers,
+            checkpoint_every=checkpoint_every,
+            **kwargs,
+        ),
         schedule=schedule,
-        **kwargs,
     )
 
 

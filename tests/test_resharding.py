@@ -37,6 +37,7 @@ from repro.platform.placement import PlacementMap, WrongShardError, migrate
 from repro.platform.server import GatewayThread
 from repro.platform.service import LightorWebService
 from repro.platform.sharding import ShardedLightorService, shard_db_path
+from repro.platform.tier import TierSpec
 from repro.utils.validation import ValidationError
 
 K = 5
@@ -212,11 +213,8 @@ class TestOnlineReshardInproc:
         self, fitted_initializer, shards, to_shards
     ):
         report = run_load(
-            SPEC,
-            fitted_initializer,
-            shards=shards,
-            workers=2,
-            transport="inproc",
+            SPEC, fitted_initializer,
+            tier=TierSpec(shards=shards, workers=2, transport="inproc"),
             schedule=[(2, reshard_to(to_shards))],
         )
         (fault,) = report.faults
@@ -238,7 +236,8 @@ class TestOnlineReshardInproc:
             return grow(tier)
 
         report = run_load(
-            SPEC, fitted_initializer, shards=2, workers=2, schedule=[(0, reshard)]
+            SPEC, fitted_initializer, tier=TierSpec(shards=2, workers=2),
+            schedule=[(0, reshard)],
         )
         (fault,) = report.faults
         assert report.ok, report.describe()
@@ -247,7 +246,8 @@ class TestOnlineReshardInproc:
 
     def test_reshard_over_http(self, fitted_initializer):
         report = run_load(
-            SPEC, fitted_initializer, shards=2, workers=2, transport="http",
+            SPEC, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="http"),
             schedule=[(2, reshard_to(3))],
         )
         (fault,) = report.faults
@@ -263,11 +263,8 @@ class TestOnlineReshardCluster:
         """Grow spawns a worker process mid-run, shrink drains and SIGTERMs
         one; either way every fingerprint matches the undisturbed run."""
         report = run_load(
-            SPEC,
-            fitted_initializer,
-            shards=shards,
-            workers=2,
-            transport="cluster",
+            SPEC, fitted_initializer,
+            tier=TierSpec(shards=shards, workers=2, transport="cluster"),
             schedule=[(2, reshard_to(to_shards))],
         )
         (fault,) = report.faults

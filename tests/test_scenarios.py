@@ -20,6 +20,7 @@ from repro.loadgen import (
     build_scenario_workload,
     run_scenario,
 )
+from repro.platform.tier import TierSpec
 from repro.utils.validation import ValidationError
 
 TINY = WorkloadSpec(channels=2, viewers=10, duration=300.0, batch_size=16, seed=7)
@@ -124,7 +125,9 @@ class TestScenarioBuilders:
 class TestScenarioOracles:
     @pytest.mark.parametrize("name", ["flash-crowd", "chat-flood", "fairness"])
     def test_sequential_oracle_holds(self, name, fitted_initializer):
-        result = run_scenario(name, TINY, fitted_initializer, shards=2, workers=2)
+        result = run_scenario(
+            name, TINY, fitted_initializer, tier=TierSpec(shards=2, workers=2),
+        )
         assert result.ok
         assert result.oracle == "sequential"
         assert result.report.divergences == []
@@ -135,7 +138,8 @@ class TestScenarioOracles:
         """The storm's whole promise: only *when* changes, never *what* —
         so its end state equals the unperturbed run, byte for byte."""
         result = run_scenario(
-            "reconnect-storm", TINY, fitted_initializer, shards=2, workers=2
+            "reconnect-storm", TINY, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2),
         )
         assert result.ok
         assert result.oracle == "baseline"
@@ -147,8 +151,8 @@ class TestScenarioOracles:
         keeps one worker per channel, so a budget of 1 must never refuse
         the drive itself — the run completes clean under the tightest cap."""
         result = run_scenario(
-            "fairness", TINY, fitted_initializer, shards=2, workers=2,
-            transport="http", per_channel_pending=1,
+            "fairness", TINY, fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="http", max_pending_per_channel=1),
         )
         assert result.ok
         assert result.report.divergences == []
@@ -225,7 +229,7 @@ class TestScenarioKnobs:
 
     def test_run_scenario_accepts_knobs(self, fitted_initializer):
         result = run_scenario(
-            "flash-crowd", TINY, fitted_initializer, shards=2, workers=2,
+            "flash-crowd", TINY, fitted_initializer, tier=TierSpec(shards=2, workers=2),
             knobs=ScenarioKnobs(surge_factor=3),
         )
         assert result.ok

@@ -31,6 +31,7 @@ from repro.loadgen import (
     write_trace,
 )
 from repro.loadgen.trace import TRACE_MAGIC, TRACE_VERSION, _frame
+from repro.platform.tier import TierSpec
 from repro.utils.validation import ValidationError
 
 TINY = WorkloadSpec(channels=2, viewers=10, duration=300.0, batch_size=16, seed=7)
@@ -49,7 +50,8 @@ def tiny_workload():
 def recorded(tmp_path_factory, fitted_initializer, tiny_workload):
     """A trace of a real run, fingerprints armed — plus the run's report."""
     report = run_load(
-        TINY, fitted_initializer, shards=2, workers=2, workload=tiny_workload
+        TINY, fitted_initializer, tier=TierSpec(shards=2, workers=2),
+        workload=tiny_workload,
     )
     assert report.divergences == []
     path = tmp_path_factory.mktemp("traces") / "tiny.trace"
@@ -237,7 +239,7 @@ class TestGoldenCorpus:
     ):
         trace = read_trace(self.CORPUS_DIR / f"{stem}.trace")
         result = replay_trace(
-            trace, cli_initializer, shards=2, workers=2, oracle=False
+            trace, cli_initializer, tier=TierSpec(shards=2, workers=2), oracle=False,
         )
         assert result.ok, (
             f"golden corpus replay diverged on {result.mismatches or result.missing} "
@@ -256,7 +258,7 @@ class TestReplayGate:
         different topology must still land the same bytes."""
         path, _ = recorded
         result = replay_trace(
-            read_trace(path), fitted_initializer, shards=1, workers=3
+            read_trace(path), fitted_initializer, tier=TierSpec(shards=1, workers=3),
         )
         assert result.ok
         assert result.checked == TINY.channels
@@ -269,8 +271,8 @@ class TestReplayGate:
         the binary codec must reproduce an inproc recording."""
         path, _ = recorded
         result = replay_trace(
-            read_trace(path), fitted_initializer, shards=2, workers=2,
-            transport="http", wire_codec="binary",
+            read_trace(path), fitted_initializer,
+            tier=TierSpec(shards=2, workers=2, transport="http", wire_codec="binary"),
         )
         assert result.ok
         assert result.report.transport == "http"
@@ -284,7 +286,9 @@ class TestReplayGate:
         forged[victim] = "0" * len(forged[victim])
         forged["channel-9999"] = "deadbeef"
         tampered = dataclasses.replace(trace, fingerprints=forged)
-        result = replay_trace(tampered, fitted_initializer, shards=1, workers=2)
+        result = replay_trace(
+            tampered, fitted_initializer, tier=TierSpec(shards=1, workers=2),
+        )
         assert not result.ok
         assert result.mismatches == [victim]
         assert result.missing == ["channel-9999"]

@@ -38,6 +38,7 @@ from repro.loadgen import (  # noqa: E402
     run_load,
     write_trace,
 )
+from repro.platform.tier import TierSpec  # noqa: E402
 
 CORPUS_DIR = REPO / "tests" / "traces"
 
@@ -60,7 +61,7 @@ def main() -> int:
     for stem, build in CORPUS:
         workload = build()
         report = run_load(
-            SPEC, initializer, shards=2, workers=2, workload=workload
+            SPEC, initializer, tier=TierSpec(shards=2, workers=2), workload=workload,
         )
         assert report.divergences == [], (stem, report.divergences)
         path = CORPUS_DIR / f"{stem}.trace"
