@@ -166,7 +166,6 @@ class Tier:
         loopback gateway, its budgets raised to cover the pool's one
         blocking request per worker, and gives each worker a client.
         """
-        self._disconnect(drain=True)
         if self.spec.transport == "inproc":
             return [self.service] * n
         if self.spec.transport == "cluster":
